@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibria, game
-from .errors import InvalidSpecError, UndefinedBaselineError
+from .errors import SOLVER_ERRORS, InvalidSpecError, UndefinedBaselineError
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def ordering_report(spec, eps_grid, delta_grid, tol=1e-9, ordering_slack=1e-9):
     """Solve the nominal and robust games over both grids and grade orderings.
 
     Case-1 rows check leader-up / follower-down vs the nominal equilibrium,
-    case-2 rows the reverse.  Solver failures mark their row inconclusive.
+    case-2 rows the reverse.  A solver error (`errors.SOLVER_ERRORS`) marks its
+    row inconclusive; any other exception propagates.
     """
     eps_grid = [float(e) for e in eps_grid]
     delta_grid = [float(d) for d in delta_grid]
@@ -218,7 +219,7 @@ def ordering_report(spec, eps_grid, delta_grid, tol=1e-9, ordering_slack=1e-9):
     def grade(radius, solve, leader_up):
         try:
             res = solve(radius)
-        except Exception as exc:  # noqa: BLE001 - row marked inconclusive
+        except SOLVER_ERRORS as exc:  # row marked inconclusive
             return OrderingRow(radius=radius, error=f"{type(exc).__name__}: {exc}")
         d = delta_metrics(nse, res)
         dl = res.utilities[leader] - nse.utilities[leader]

@@ -3,8 +3,12 @@
 Under a total action budget the per-dimension utility has no price term, so a
 player's best response fills power above the per-dimension inverse quality
 q_k = f_k / H_k up to a common water level chosen to spend the budget.  The
-robust variant alternates waterfilling with the worst-case observation until
-the pair is a fixed point of the max-min problem.
+level is exact: the total allocation is piecewise linear in it, so
+`waterfill_batch` reads it off the sorted breakpoints where channels enter
+the active set or saturate.  The Euclidean projection onto a box with a sum
+budget is the same problem with q = -z.  The robust variant alternates
+waterfilling with the worst-case observation until the pair is a fixed point
+of the max-min problem.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,6 @@ import numpy as np
 
 from . import game, robust
 from .errors import InvalidSpecError, IterationLimitError
-from .numerics import bisect_increasing
 
 
 def _quality(spec, player, f):
@@ -24,76 +27,32 @@ def _quality(spec, player, f):
 
 
 def waterfill(spec, player, impact, budget):
-    """Budget-constrained best response by bisection on the water level.
+    """Budget-constrained best response: one row of `waterfill_batch`.
 
-    a_k = clip(w - f_k/H_k, [lo_k, hi_k]) with w chosen so the total equals
-    min(budget, sum hi).  Channels whose inverse quality exceeds the water
-    level stay at their floor; if no channel is usable the floor allocation is
-    returned rather than raising.
+    a_k = clip(w - f_k/H_k, [lo_k, hi_k]) with the common water level w chosen
+    so the total equals min(budget, sum hi).  Channels whose inverse quality
+    exceeds the water level stay at their floor; if no channel is usable, or
+    the floors alone exceed the budget, the floor allocation is returned
+    rather than raising.
     """
     if budget <= 0:
         raise InvalidSpecError("budget must be positive")
     f = game.as_impact(impact)
     game._check_impact(f)
-    lo, hi = spec.action_min[player], spec.action_max[player]
     q = _quality(spec, player, f)
-    finite_hi = np.where(np.isinf(hi), max(budget, 1.0) * 2.0, hi)
-    target = min(budget, float(finite_hi.sum()))
-    if float(lo.sum()) >= target:
-        return lo.copy()
-
-    def total(w):
-        return float(np.clip(w - q, lo, finite_hi).sum())
-
-    w_hi = float(np.max(np.where(np.isinf(q), 0.0, q) + finite_hi)) + 1.0
-    w = bisect_increasing(total, 0.0, w_hi, target, tol=1e-15)
-    alloc = np.clip(w - q, lo, finite_hi)
-    # spend any bisection slack on the unsaturated channels
-    slack = target - alloc.sum()
-    room = finite_hi - alloc
-    open_k = (room > 0) & (alloc > lo)
-    if slack > 0 and open_k.any():
-        alloc[open_k] += slack / open_k.sum()
-    return np.minimum(alloc, finite_hi)
-
-
-def _waterfill_exact(q, lo, hi, budget):
-    """Exact water level by breakpoint search (no iteration); used internally.
-
-    Same KKT point as `waterfill`; sorts the 2K breakpoints where channels
-    enter the active set or saturate and solves the linear segment containing
-    the budget.
-    """
-    q = np.asarray(q, dtype=float)
-    lo = np.broadcast_to(lo, q.shape).astype(float)
-    hi = np.asarray(np.broadcast_to(hi, q.shape), dtype=float).copy()
-    hi[np.isinf(hi)] = max(budget, 1.0) * 2.0
-    target = min(budget, float(hi.sum()))
-    if float(lo.sum()) >= target:
-        return lo.copy()
-    finite_q = np.where(np.isinf(q), 1e300, q)
-    breaks = np.sort(np.concatenate([finite_q + lo, finite_q + hi]))
-    totals = np.clip(breaks[:, None] - finite_q[None, :], lo, hi).sum(axis=1)
-    idx = int(np.searchsorted(totals, target))
-    if idx >= breaks.size:
-        return hi.copy()
-    # the active set is constant inside the open segment below breaks[idx]
-    w_prev = breaks[idx - 1] if idx > 0 else breaks[0] - 1.0
-    mid = 0.5 * (w_prev + breaks[idx])
-    active = (mid > finite_q + lo) & (mid < finite_q + hi)
-    prev_total = np.clip(w_prev - finite_q, lo, hi).sum()
-    slope = int(active.sum())
-    w = breaks[idx] if slope == 0 else w_prev + (target - prev_total) / slope
-    return np.clip(w - finite_q, lo, hi)
+    return waterfill_batch(q[None, :], spec.action_min[player],
+                           spec.action_max[player], budget)[0]
 
 
 def waterfill_batch(q, lo, hi, budget):
-    """Vectorized exact waterfill over a batch: q is (B, K), budget (B,).
+    """Exact waterfill over a batch: q is (B, K), budget scalar or (B,).
 
     Event sweep over the sorted 2K breakpoints: the total allocation is
     piecewise linear in the water level with slope equal to the number of
     active channels, so prefix sums of slope * segment-length locate the
     segment containing the budget without forming any (B, 2K, K) tensor.
+    Infinite ceilings are replaced by twice max(budget, 1), which no
+    allocation within the budget reaches.
     """
     q = np.asarray(q, dtype=float)
     b, k = q.shape
@@ -128,6 +87,27 @@ def waterfill_batch(q, lo, hi, budget):
     if floor.any():
         alloc[floor] = lo[floor]
     return alloc
+
+
+def project_box_budget_batch(z, lo, hi, budget):
+    """Euclidean projection of each row of z onto {lo <= a <= hi, sum(a) <= budget}.
+
+    z is (B, K) and budget a scalar.  A row whose box-clipped point meets
+    the budget is that point; any other row is clip(z - mu, lo, hi) with the
+    uniform shift mu that spends the budget exactly, i.e. the waterfill of
+    q = -z (the floor when the budget is below sum(lo)).
+    """
+    clipped = np.clip(z, lo, hi)
+    over = clipped.sum(axis=1) > budget
+    if over.any():
+        clipped[over] = waterfill_batch(-z[over], lo, hi, budget)
+    return clipped
+
+
+def project_box_budget(z, lo, hi, budget):
+    """Projection of one action vector: a one-row `project_box_budget_batch`."""
+    z = np.asarray(z, dtype=float)
+    return project_box_budget_batch(z[None, :], lo, hi, budget)[0]
 
 
 def robust_waterfill(spec, player, nominal_impact, eps, budget, *, tol=1e-9,

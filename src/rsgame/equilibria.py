@@ -22,7 +22,8 @@ from . import game, robust
 from .errors import (CombinatorialLimitError, DegenerateModelError,
                      InapplicableFormulaError, InvalidSpecError,
                      IterationLimitError)
-from .numerics import box_corners, latin_hypercube, maximize_scalar, project_box_budget
+from .budget import project_box_budget
+from .numerics import box_corners, latin_hypercube, maximize_scalar
 
 _BOUNDARY_EPS = 1e-9
 
@@ -339,15 +340,13 @@ def _locate_kink(gap, free, held):
 def _budgeted_leader_starts(model_spec, unc, leader, restarts, rng):
     lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
     p_max = model_spec.budget(leader)
-    h = model_spec.direct_gain(leader)
     starts = []
     # waterfill vs noise only, vs everyone at max, and a uniform spread
     others_min = model_spec.action_min.copy()
     others_max = np.where(np.isinf(model_spec.action_max), 1.0, model_spec.action_max)
     for others in (others_min, others_max):
         f = game.aggregate_impact(model_spec, others, leader).values
-        starts.append(budget_mod._waterfill_exact(f / np.maximum(h, 1e-300),
-                                                  lo, hi, p_max))
+        starts.append(budget_mod.waterfill(model_spec, leader, f, p_max))
     starts.append(project_box_budget(np.full_like(lo, p_max / model_spec.n_dims),
                                      lo, hi, p_max))
     while len(starts) < restarts:

@@ -48,3 +48,9 @@ class ConfigError(ValueError):
 
 class SchemaVersionError(ValueError):
     """A persisted results file carries an unsupported schema version."""
+
+
+# what a solver raises on purpose for an instance it cannot handle; pipelines
+# exclude such an instance and let any other exception propagate as a bug
+SOLVER_ERRORS = (IterationLimitError, SingularImpactError, DegenerateModelError,
+                 InapplicableFormulaError)

@@ -55,7 +55,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     format: str = "csv"              # "csv" | "csv+svg"
     restarts: int = 4                # budgeted bi-level ascent restarts
-    workers: int = 1
 
     def __post_init__(self):
         if self.ensemble_size < 1:

@@ -13,7 +13,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .. import analysis, budget as budget_mod, equilibria
-from ..errors import ConfigError, SchemaVersionError, UndefinedBaselineError
+from ..errors import (SOLVER_ERRORS, ConfigError, SchemaVersionError,
+                      UndefinedBaselineError)
 from . import channels, svgplot
 
 SCHEMA = "rsgame-sweep v1"
@@ -118,16 +119,17 @@ def solve_instance(config, spec, instance):
                 d_metrics[key] = analysis.delta_metrics(nse, res)
             except UndefinedBaselineError:
                 d_metrics[key] = None  # blank in the CSV, skipped in grading
-    gains = channels.generate_channels(config, instance)
-    return EnsembleRecord(instance=instance, gains=gains, results=results,
-                          conditions=conds, d_metrics=d_metrics, overlap=overlap)
+    return EnsembleRecord(instance=instance, gains=spec.cross_gain,
+                          results=results, conditions=conds,
+                          d_metrics=d_metrics, overlap=overlap)
 
 
 def run_experiment(config, quiet=False):
     """Execute the configured sweep, write CSV (+SVG), print a summary table.
 
-    Per-instance solver failures are logged and excluded; more than 5%
-    exclusions fails the run.
+    Per-instance solver errors (`errors.SOLVER_ERRORS`) are logged and
+    excluded; more than 5% exclusions fails the run.  Any other exception
+    propagates.
     """
     if len(config.leaders) != 1:
         raise ConfigError(
@@ -140,7 +142,7 @@ def run_experiment(config, quiet=False):
         spec = config.to_spec(gains)
         try:
             records.append(solve_instance(config, spec, i))
-        except Exception as exc:  # noqa: BLE001 - excluded and counted
+        except SOLVER_ERRORS as exc:  # excluded and counted
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     if len(failures) > 0.05 * config.ensemble_size:
         raise RuntimeError(
@@ -165,11 +167,15 @@ def run_experiment(config, quiet=False):
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    orderings = _grade_orderings(records)
+    # every instance shares the config's roles: grade and plot the leader
+    # against the first follower
+    leader = config.leaders[0]
+    fol = config.to_spec(records[0].gains).followers[0]
+    orderings = _grade_orderings(records, leader, fol)
     agreement = _grade_agreement(records)
     svg_paths = ()
     if config.format == "csv+svg":
-        svg_paths = _write_svgs(config, records)
+        svg_paths = _write_svgs(config, records, leader, fol)
     if not quiet:
         _print_summary(config, records, failures, orderings, agreement)
     return ExperimentSummary(records=tuple(records), csv_path=csv_path,
@@ -177,14 +183,11 @@ def run_experiment(config, quiet=False):
                              orderings=orderings, agreement=agreement)
 
 
-def _grade_orderings(records, slack=1e-9):
+def _grade_orderings(records, leader, fol, slack=1e-9):
     checks = {"case1_leader_up": [0, 0], "case1_follower_down": [0, 0],
               "case2_leader_down": [0, 0], "case2_follower_up": [0, 0]}
     for rec in records:
         nse = rec.results[("NSE", 0.0)]
-        leader, fol = 0, 1  # single-leader two-player convention; else skip
-        if nse.utilities.size < 2:
-            continue
         for (kind, radius), res in rec.results.items():
             if kind == "RSE1":
                 checks["case1_leader_up"][0] += res.utilities[leader] >= nse.utilities[leader] - slack
@@ -221,7 +224,7 @@ def _grade_agreement(records):
     return {name: (int(ok), int(total)) for name, (ok, total) in out.items()}
 
 
-def _write_svgs(config, records):
+def _write_svgs(config, records, leader, fol):
     paths = []
     rec = next((r for r in records
                 if all(v is not None for v in r.d_metrics.values())),
@@ -232,9 +235,9 @@ def _write_svgs(config, records):
                 if rec.d_metrics.get(("RSE2", d)) is not None]
     if eps_nz:
         series = {
-            "leader d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[0]
+            "leader d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[leader]
                                   for e in eps_nz]),
-            "follower d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[1]
+            "follower d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[fol]
                                     for e in eps_nz]),
             "social d": (eps_nz, [rec.d_metrics[("RSE1", e)].social
                                   for e in eps_nz]),
@@ -246,9 +249,9 @@ def _write_svgs(config, records):
         paths.append(path)
     if delta_nz:
         series = {
-            "leader d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[0]
+            "leader d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[leader]
                                     for d in delta_nz]),
-            "follower d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[1]
+            "follower d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[fol]
                                       for d in delta_nz]),
         }
         path = os.path.join(config.out_dir, "case2_d_vs_delta.svg")
@@ -257,7 +260,7 @@ def _write_svgs(config, records):
             xlabel="delta", ylabel="d"))
         paths.append(path)
     if eps_nz and len(records) > 1:
-        d1 = [r.d_metrics[("RSE1", max(eps_nz))].per_player[1] for r in records
+        d1 = [r.d_metrics[("RSE1", max(eps_nz))].per_player[fol] for r in records
               if r.d_metrics.get(("RSE1", max(eps_nz))) is not None]
         values, fractions = np.sort(d1), np.arange(1, len(d1) + 1) / len(d1)
         path = os.path.join(config.out_dir, "cdf_d1_rse1.svg")

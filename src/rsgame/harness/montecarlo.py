@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..budget import waterfill_batch
+from ..budget import project_box_budget_batch, waterfill_batch
 from ..errors import ConfigError
 from . import channels
 
@@ -106,19 +106,6 @@ def _leader_value_batch(batch, h00, h01, sigma0, a0, a1):
     return np.log1p(h00 * a0 / f0).sum(axis=1)
 
 
-def _project_budget_batch(z, lo, hi, p):
-    clipped = np.clip(z, lo, hi)
-    over = clipped.sum(axis=1) > p
-    if not np.any(over):
-        return clipped
-    fixed = waterfill_batch(-z[over], np.broadcast_to(lo, z[over].shape),
-                            np.broadcast_to(hi, z[over].shape),
-                            np.full(int(over.sum()), p))
-    out = clipped
-    out[over] = fixed
-    return out
-
-
 def _value_of(batch, a0, eps):
     a1 = follower_response_batch(batch, a0, eps)
     return _leader_value_batch(batch, batch.h00, batch.h01, batch.sigma0,
@@ -146,11 +133,12 @@ def leader_ascent_batch(batch, eps, n_steps=50, seed=0, restarts=3,
     f_busy = (batch.sigma0 + batch.h01 * a1_full) / batch.h00
     starts.append(waterfill_batch(f_busy, batch.lo0, batch.hi0,
                                   np.full(b, batch.p0)))
-    starts.append(_project_budget_batch(
+    starts.append(project_box_budget_batch(
         np.full((b, k), batch.p0 / k), batch.lo0, batch.hi0, batch.p0))
     while len(starts) < restarts:
         w = rng.dirichlet(np.ones(k), size=b) * batch.p0
-        starts.append(_project_budget_batch(w, batch.lo0, batch.hi0, batch.p0))
+        starts.append(project_box_budget_batch(w, batch.lo0, batch.hi0,
+                                               batch.p0))
 
     best_a0 = None
     best_val = np.full(b, -np.inf)
@@ -180,8 +168,8 @@ def leader_ascent_batch(batch, eps, n_steps=50, seed=0, restarts=3,
             grad = (vals[:, 2 * cols] - vals[:, 2 * cols + 1]) / (2 * h_fd)
             moved = np.zeros(b, dtype=bool)
             for _bt in range(10):
-                cand = _project_budget_batch(a0 + step[:, None] * grad,
-                                             batch.lo0, batch.hi0, batch.p0)
+                cand = project_box_budget_batch(a0 + step[:, None] * grad,
+                                                batch.lo0, batch.hi0, batch.p0)
                 cv = _value_of(batch, cand, eps)
                 improved = cv > val + 1e-14
                 a0[improved] = cand[improved]

@@ -12,7 +12,8 @@ import numpy as np
 
 from .. import analysis, equilibria, game
 from ..errors import InvalidSpecError
-from ..numerics import maximize_scalar, project_box_budget
+from ..budget import project_box_budget
+from ..numerics import maximize_scalar
 
 
 def demote_to_single_leader(spec, leader):

@@ -1,4 +1,4 @@
-"""Scalar search, projection and sampling helpers used by the solvers."""
+"""Scalar maximization and sampling helpers used by the solvers."""
 
 import numpy as np
 
@@ -95,46 +95,6 @@ def _illinois_root(fn, left, right, f_left, f_right, tol):
                 f_left *= 0.5
             stale = "left"
     return 0.5 * (left + right)
-
-
-def bisect_increasing(fn, lo, hi, target, tol=1e-13, max_iter=200):
-    """Root of the nondecreasing function fn(x) = target on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if fn(mid) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def project_box_budget(z, lo, hi, budget):
-    """Euclidean projection onto {lo <= a <= hi, sum(a) <= budget}.
-
-    Standard dual bisection on the uniform shift: if the box-clipped point
-    already satisfies the budget it is returned, otherwise the shift mu with
-    sum(clip(z - mu)) = budget is found (the sum is continuous and
-    nonincreasing in mu).
-    """
-    z = np.asarray(z, dtype=float)
-    clipped = np.clip(z, lo, hi)
-    total = clipped.sum()
-    if total <= budget or np.isinf(budget):
-        return clipped
-    lo_sum = np.clip(z - (np.max(z - lo) + 1.0), lo, hi).sum()
-    if lo_sum >= budget:  # budget below the box floor: floor is the closest point
-        return np.broadcast_to(lo, z.shape).copy() if np.ndim(lo) else np.full_like(z, lo)
-    mu_lo, mu_hi = 0.0, float(np.max(z - lo) + 1.0)
-    for _ in range(100):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if np.clip(z - mu, lo, hi).sum() > budget:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-    return np.clip(z - 0.5 * (mu_lo + mu_hi), lo, hi)
 
 
 def latin_hypercube(rng, n_samples, n_dims):

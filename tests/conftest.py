@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rsgame as rs
 
 # errors the solvers raise on purpose for an instance they cannot handle:
 # draw loops skip such an instance, while any other exception is a bug and
 # fails the test instead of silently changing which instances are drawn
-SOLVER_ERRORS = (rs.errors.IterationLimitError, rs.errors.SingularImpactError,
-                 rs.errors.DegenerateModelError,
-                 rs.errors.InapplicableFormulaError)
+SOLVER_ERRORS = rs.errors.SOLVER_ERRORS
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("rsgame", derandomize=True, deadline=None)
+settings.load_profile("rsgame")
 
 
 def build_e1_spec():

@@ -165,3 +165,31 @@ def waterfill_grid_oracle(h, f, budget, step):
     vals = np.log1p(grid * h[None, :] / f[None, :]).sum(axis=1)
     idx = int(np.argmax(vals))
     return grid[idx], float(vals[idx])
+
+
+def waterfill_level_oracle(q, lo, hi, budget):
+    """Box-aware waterfill a = clip(w - q, lo, hi) spending min(budget, sum hi).
+
+    The floor when it alone meets the budget.  Otherwise the total is
+    nondecreasing in the water level w, so halving a bracket on w until its
+    ends are adjacent floats finds the level; slow, and obviously right.
+    `q` must be finite; `hi` may hold inf.
+    """
+    q, lo, hi = (np.asarray(x, dtype=float) for x in (q, lo, hi))
+    if lo.sum() >= budget:
+        return lo.copy()
+    if hi.sum() <= budget:
+        return hi.copy()
+    # every channel at its floor below w_lo; at w_hi every finite ceiling is
+    # reached and an infinite one alone takes the budget
+    w_lo = float(np.min(q + lo)) - 1.0
+    w_hi = float(np.max(q)) + max(budget, float(np.max(hi[np.isfinite(hi)],
+                                                       initial=0.0)))
+    while True:
+        mid = 0.5 * (w_lo + w_hi)
+        if not w_lo < mid < w_hi:
+            return np.clip(w_hi - q, lo, hi)
+        if np.clip(mid - q, lo, hi).sum() < budget:
+            w_lo = mid
+        else:
+            w_hi = mid

@@ -188,6 +188,14 @@ class TestOrderingReport:
         d = analysis.delta_metrics(nse, rse1)
         assert d.social <= 0.0
 
+    def test_programming_error_propagates(self, e1_spec, monkeypatch):
+        def broken(spec, eps, **kwargs):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(rs.equilibria, "solve_rse1", broken)
+        with pytest.raises(TypeError, match="planted"):
+            analysis.ordering_report(e1_spec, [0.0, 0.05], [0.0])
+
     def test_grids_must_start_at_zero(self, e1_spec):
         with pytest.raises(Exception):
             analysis.ordering_report(e1_spec, [0.05], [0.0])

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rsgame as rs
-from rsgame.budget import _waterfill_exact, waterfill_batch
+from rsgame.budget import project_box_budget, waterfill_batch
 from rsgame.errors import InvalidSpecError
 
-from oracles import waterfill_grid_oracle
+from oracles import waterfill_grid_oracle, waterfill_level_oracle
 
 
 def budgeted_spec(k, budgets=(5.0, 5.0), a_max=50.0, noise=0.1):
@@ -73,29 +75,109 @@ class TestWaterfill:
         with pytest.raises(InvalidSpecError):
             rs.waterfill(spec, 1, np.array([0.5, 1.0]), 0.0)
 
-    def test_exact_solver_matches_bisection(self):
+    def test_matches_level_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             k = int(rng.integers(1, 8))
-            budget = float(rng.uniform(0.3, 6.0))
-            a_max = float(rng.uniform(0.3, 4.0))
-            spec = budgeted_spec(k, budgets=(budget, budget), a_max=a_max)
-            f = rng.uniform(0.05, 3.0, size=k)
-            a_bis = rs.waterfill(spec, 1, f, budget)
-            a_exact = _waterfill_exact(f, np.zeros(k), np.full(k, a_max), budget)
-            assert a_exact == pytest.approx(a_bis, abs=1e-8)
+            q, lo, hi, budget = random_box(rng, k)
+            h = rng.uniform(0.2, 3.0, size=k)
+            spec = rs.make_spec(direct=np.vstack([np.ones(k), h]),
+                                cross=np.zeros((2, 2, k)), noise=0.1,
+                                leaders=(0,),
+                                action_min=np.vstack([np.zeros(k), lo]),
+                                action_max=np.vstack([np.ones(k), hi]),
+                                budget=[1.0, budget])
+            a = rs.waterfill(spec, 1, q * h, budget)
+            want = waterfill_level_oracle(q, lo, hi, budget)
+            assert a == pytest.approx(want, abs=1e-9)
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_level_oracle(self):
         rng = np.random.default_rng(24)
         k = 5
-        q = rng.uniform(0.05, 3.0, size=(64, k))
-        budgets = rng.uniform(0.3, 6.0, size=64)
-        lo = np.zeros(k)
-        hi = np.full(k, 2.0)
+        rows = [random_box(rng, k) for _ in range(64)]
+        q, lo, hi, budgets = (np.array(col) for col in zip(*rows))
         batch = waterfill_batch(q, lo, hi, budgets)
         for i in range(64):
-            single = _waterfill_exact(q[i], lo, hi, budgets[i])
-            assert batch[i] == pytest.approx(single, abs=1e-10)
+            want = waterfill_level_oracle(q[i], lo[i], hi[i], budgets[i])
+            assert batch[i] == pytest.approx(want, abs=1e-9)
+
+
+def random_box(rng, k):
+    """Inverse qualities, a box with some positive floors and infinite
+    ceilings, and a budget that may sit below the floors or above the box."""
+    q = rng.uniform(0.05, 3.0, size=k)
+    lo = np.where(rng.uniform(size=k) < 0.3, rng.uniform(0.0, 1.0, size=k), 0.0)
+    hi = np.where(rng.uniform(size=k) < 0.2, np.inf,
+                  lo + rng.uniform(0.1, 3.0, size=k))
+    if rng.uniform() < 0.2:  # around the floors, often below them
+        budget = rng.uniform(0.3, 1.2) * max(lo.sum(), 0.1)
+    else:
+        budget = rng.uniform(0.3, 8.0)
+    return q, lo, hi, float(budget)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def boxes(draw, infeasible_budgets=True):
+    """(q, lo, hi, budget): positive floors and infinite ceilings included."""
+    k = draw(st.integers(1, 6))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=k, max_size=k)))
+
+    q = column(_floats(0.01, 5.0))
+    lo = column(st.one_of(st.just(0.0), _floats(0.0, 1.0)))
+    hi = lo + column(st.one_of(st.just(np.inf), _floats(0.01, 3.0)))
+    floor = 0.0 if infeasible_budgets else float(lo.sum())
+    budget = floor + draw(_floats(0.01, 10.0))
+    return q, lo, hi, budget
+
+
+class TestWaterfillProperties:
+    @given(boxes())
+    def test_kkt_spend_and_box(self, box):
+        q, lo, hi, budget = box
+        k = q.size
+        spec = rs.make_spec(direct=np.ones((2, k)), cross=np.zeros((2, 2, k)),
+                            noise=0.1, leaders=(0,),
+                            action_min=np.vstack([np.zeros(k), lo]),
+                            action_max=np.vstack([np.ones(k), hi]),
+                            budget=[1.0, budget])
+        a = rs.waterfill(spec, 1, q, budget)
+        assert np.all(a >= lo) and np.all(a <= hi)
+        spend = max(lo.sum(), min(budget, hi.sum()))
+        assert a.sum() == pytest.approx(spend, abs=1e-9)
+        if lo.sum() >= budget:
+            return
+        # active unsaturated channels share one level w = a + q; a channel
+        # at its floor sits at or above w, one at its ceiling at or below
+        level = a + q
+        above_floor, below_ceiling = a > lo, a < hi
+        if above_floor.any() and below_ceiling.any():
+            assert level[above_floor].max() <= level[below_ceiling].min() + 1e-9
+
+
+class TestProjectionProperties:
+    @given(boxes(infeasible_budgets=False),
+           st.lists(_floats(-5.0, 5.0), min_size=6, max_size=6),
+           st.lists(_floats(0.0, 1.0), min_size=6, max_size=6))
+    def test_feasible_idempotent_and_variational(self, box, z, t):
+        _, lo, hi, budget = box
+        k = lo.size
+        z, t = np.array(z[:k]), np.array(t[:k])
+        p = project_box_budget(z, lo, hi, budget)
+        assert np.all(p >= lo) and np.all(p <= hi)
+        assert p.sum() <= budget + 1e-9
+        assert project_box_budget(p, lo, hi, budget) == pytest.approx(p, abs=1e-12)
+        # a feasible y: a point of the box (infinite ceilings cut at lo + 5),
+        # pulled toward the floor until it meets the budget
+        y = lo + t * (np.minimum(hi, lo + 5.0) - lo)
+        if y.sum() > budget:
+            y = lo + (y - lo) * (budget - lo.sum()) / (y.sum() - lo.sum())
+        assert float(np.dot(z - p, y - p)) <= 1e-9
 
 
 class TestRobustWaterfill:

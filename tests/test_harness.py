@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import rsgame as rs
-from rsgame.errors import ConfigError, SchemaVersionError
+from rsgame.errors import ConfigError, IterationLimitError, SchemaVersionError
 from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
-                            cooperative_leaders_nse, demote_to_single_leader,
-                            generate_channels, heuristic_leader_selection,
-                            load_rows, monte_carlo_cdf, run_experiment)
+                            channels, cooperative_leaders_nse,
+                            demote_to_single_leader, generate_channels,
+                            heuristic_leader_selection, load_rows,
+                            monte_carlo_cdf, run_experiment, solve_instance)
 from rsgame.harness.montecarlo import leader_ascent_batch, follower_response_batch
 
 from ensembles import heuristic_protocol_spec
@@ -161,6 +162,71 @@ class TestRunExperiment:
             text = open(path).read()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+    def test_solve_instance_keeps_the_callers_gains(self, monkeypatch):
+        config = small_config(ensemble_size=1, eps_grid=(0.0,),
+                              delta_grid=(0.0,))
+        gains = generate_channels(config, 0)
+
+        def redraw(*args):
+            raise AssertionError("solve_instance drew the gains again")
+
+        monkeypatch.setattr(channels, "generate_channels", redraw)
+        record = solve_instance(config, config.to_spec(gains), 0)
+        assert np.array_equal(record.gains, gains)
+
+    def test_solver_errors_excluded_other_errors_propagate(self, tmp_path,
+                                                          monkeypatch):
+        config = small_config(ensemble_size=20, eps_grid=(0.0,),
+                              delta_grid=(0.0,), out_dir=str(tmp_path))
+        solve_nse = rs.equilibria.solve_nse
+        calls = []
+
+        def first_fails(spec, **kwargs):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise IterationLimitError("planted")
+            return solve_nse(spec, **kwargs)
+
+        monkeypatch.setattr(rs.equilibria, "solve_nse", first_fails)
+        summary = run_experiment(config, quiet=True)
+        assert summary.excluded == 1 and len(summary.records) == 19
+
+        def broken(spec, **kwargs):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(rs.equilibria, "solve_nse", broken)
+        with pytest.raises(TypeError, match="planted"):
+            run_experiment(config, quiet=True)
+
+    def test_orderings_graded_for_the_configured_leader(self, tmp_path):
+        # the worked instance with the players' roles swapped: player 1 leads
+        config = small_config(
+            leaders=(1,), utility={"kind": "priced", "price": [0.5, 0.8]},
+            fixed_gains=[[[1.0], [0.5]], [[0.5], [1.0]]], ensemble_size=1,
+            action_max=[[2.0], [1.0]], eps_grid=(0.0, 0.05, 0.1),
+            delta_grid=(0.0, 0.05, 0.1), out_dir=str(tmp_path))
+        summary = run_experiment(config, quiet=True)
+        want = {name: [0, 0] for name in summary.orderings}
+        for rec in summary.records:
+            base = rec.results[("NSE", 0.0)].utilities
+            for (kind, _), res in rec.results.items():
+                up_l = res.utilities[1] >= base[1] - 1e-9  # player 1 leads
+                down_l = res.utilities[1] <= base[1] + 1e-9
+                up_f = res.utilities[0] >= base[0] - 1e-9
+                down_f = res.utilities[0] <= base[0] + 1e-9
+                if kind == "RSE1":
+                    graded = {"case1_leader_up": up_l,
+                              "case1_follower_down": down_f}
+                elif kind == "RSE2":
+                    graded = {"case2_leader_down": down_l,
+                              "case2_follower_up": up_f}
+                else:
+                    continue
+                for name, ok in graded.items():
+                    want[name][0] += int(ok)
+                    want[name][1] += 1
+        assert summary.orderings == {k: tuple(v) for k, v in want.items()}
 
     def test_schema_version_checked(self, tmp_path):
         config = small_config(ensemble_size=1, out_dir=str(tmp_path))

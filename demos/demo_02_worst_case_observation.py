@@ -4,7 +4,7 @@ A player who distrusts its interference reading by an l2 radius plays
 against the ball point minimizing its utility.  Because utility decreases in
 the impact, the worst case inflates every dimension, lands exactly on the
 ball surface, and aligns with the (normalized) utility gradient.  We check
-the fixed point against brute-force sampling and show the one-step
+the exact KKT point against brute-force sampling and show the one-step
 evaluation (direction taken at the nominal point) differs at second order.
 """
 
@@ -27,22 +27,22 @@ print(f"ball constraint  : |f* - f| = {np.linalg.norm(wco.values - nominal):.6f}
 res = rs.complementary_slackness_residual(spec, 0, action, nominal, eps, wco)
 print(f"optimality residual: {res:.2e}")
 
-# brute force: sample many surface points, none should beat the fixed point
+# brute force: sample many surface points, none should beat the KKT point
 rng = np.random.default_rng(0)
 dirs = rng.standard_normal((20000, 3))
 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 samples = nominal[None, :] + eps * dirs
 u_star = rs.utility(spec, 0, action, wco.values)
 u_samples = np.array([rs.utility(spec, 0, action, s) for s in samples])
-print(f"\nfixed point utility  : {u_star:.8f}")
-print(f"best sampled utility : {u_samples.min():.8f}  "
+print(f"\nexact KKT point utility: {u_star:.8f}")
+print(f"best sampled utility  : {u_samples.min():.8f}  "
       f"(gap {u_samples.min() - u_star:.2e}, never negative)")
 
 # halving the radius shrinks the one-step error by about four
-print("\none-step vs fixed point (second-order gap):")
+print("\none-step vs exact KKT point (second-order gap):")
 for radius in (0.2, 0.1, 0.05):
-    fixed = rs.worst_case_observation(spec, 0, action, nominal, radius)
+    exact = rs.worst_case_observation(spec, 0, action, nominal, radius)
     one = rs.worst_case_observation(spec, 0, action, nominal, radius,
                                     one_step=True)
-    gap = np.max(np.abs(fixed.values - one.values))
+    gap = np.max(np.abs(exact.values - one.values))
     print(f"  radius {radius:4}: gap {gap:.3e}")

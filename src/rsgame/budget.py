@@ -7,8 +7,8 @@ level is exact: the total allocation is piecewise linear in it, so
 `waterfill_batch` reads it off the sorted breakpoints where channels enter
 the active set or saturate.  The Euclidean projection onto a box with a sum
 budget is the same problem with q = -z.  The robust variant alternates
-waterfilling with the worst-case observation until the pair is a fixed point
-of the max-min problem.
+waterfilling with the exact worst-case observation (`robust`'s KKT point)
+until the pair is a fixed point of the max-min problem.
 """
 
 from dataclasses import dataclass

@@ -79,8 +79,12 @@ def realized_utilities(spec, actions):
     """Per-player utilities of a full action matrix at true parameters."""
     a = game.as_actions(actions)
     impacts = game.all_impacts(spec, a)
-    return np.array([game.utility(spec, n, a[n], impacts[n])
-                     for n in range(spec.n_players)])
+    game._check_impact(impacts)
+    players = np.arange(spec.n_players)
+    h = spec.cross_gain[players, players]
+    price = (spec.utility_model.price if spec.is_priced
+             else np.zeros(spec.n_players))
+    return (np.log1p(h * a / impacts) - price[:, None] * a).sum(axis=1)
 
 
 def _boundary_flags(spec, actions):
@@ -124,9 +128,9 @@ def follower_best_response(spec, player, others, eps, *, tol=1e-13, max_iter=300
     """Utility-maximizing action of `player` against fixed other players.
 
     With eps > 0 the response maximizes the worst-case utility over the
-    eps-ball of observations (inner minimization via the worst-case
-    observation fixed point, outer maximization in closed form for the priced
-    model and by robust waterfilling for the budgeted model).
+    eps-ball of observations (inner minimization by the exact worst-case
+    observation, outer maximization in closed form for the priced model and
+    by robust waterfilling for the budgeted model).
     """
     if player not in spec.followers:
         raise InvalidSpecError(f"player {player} is not a follower")
@@ -183,6 +187,9 @@ def followers_nash(spec, leaders_profile, eps=0.0, tol=1e-10, max_iter=500):
     unc = robust.coerce_uncertainty(spec, eps=eps)
     actions = game.as_actions(leaders_profile).copy()
     followers = list(spec.followers)
+    kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
+    if not followers:
+        return _make_result(kind, spec, actions, iterations=0, residual=0.0)
     damping = 1.0
     prev_res = np.inf
     for it in range(1, max_iter + 1):
@@ -193,7 +200,6 @@ def followers_nash(spec, leaders_profile, eps=0.0, tol=1e-10, max_iter=500):
         if res < tol:
             for n in followers:
                 actions[n] = responses[n]
-            kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
             return _make_result(kind, spec, actions, iterations=it, residual=res)
         if res > prev_res:  # oscillation: damp the Jacobi update
             damping = max(0.25, damping * 0.5)

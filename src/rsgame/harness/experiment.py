@@ -168,14 +168,16 @@ def run_experiment(config, quiet=False):
         fh.write("\n".join(lines) + "\n")
 
     # every instance shares the config's roles: grade and plot the leader
-    # against the first follower
+    # against the first follower (a one-player sweep has none)
     leader = config.leaders[0]
-    fol = config.to_spec(records[0].gains).followers[0]
-    orderings = _grade_orderings(records, leader, fol)
-    agreement = _grade_agreement(records)
+    followers = config.to_spec(records[0].gains).followers
+    orderings = {}
     svg_paths = ()
-    if config.format == "csv+svg":
-        svg_paths = _write_svgs(config, records, leader, fol)
+    if followers:
+        orderings = _grade_orderings(records, leader, followers[0])
+        if config.format == "csv+svg":
+            svg_paths = _write_svgs(config, records, leader, followers[0])
+    agreement = _grade_agreement(records)
     if not quiet:
         _print_summary(config, records, failures, orderings, agreement)
     return ExperimentSummary(records=tuple(records), csv_path=csv_path,

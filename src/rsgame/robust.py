@@ -3,12 +3,15 @@
 Two kinds of uncertainty are modelled, both as l2 balls around nominal values:
 
 * a follower observes its aggregate impact only up to an error of norm
-  eps (obs_radius), and plays against the worst observation in that ball;
+  eps (obs_radius), and plays against the worst observation in that ball,
+  the exact KKT point of a trust-region subproblem (one bracketed secular
+  solve in the ball multiplier, `worst_case_observation`);
 * a leader knows the gain from itself to a follower only up to an error of
   norm delta (info_radius), and plans against the ball realization that
   minimizes its view of that follower's impact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,9 @@ from .errors import InvalidSpecError, IterationLimitError
 
 # Gradient norms below this are treated as degenerate (zero direction).
 _DEGENERATE_GRAD = 1e-14
+# Residual floor of the worst-case observation, relative to max(f) + eps, the
+# largest value it can return: a few dozen roundings.
+_ROUNDING = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,12 @@ def oversized_info_radius(spec, unc):
 
 @dataclass(frozen=True)
 class WorstCaseObservation:
-    """Fixed point of the worst-case observation relation.
+    """Exact KKT point of the worst-case observation problem.
 
     `values` is the utility-minimizing observation on the eps-ball around the
     nominal impact; `direction` is the unit gradient direction it realizes
-    (zero when the gradient is degenerate).
+    (zero when the gradient is degenerate); `iterations` counts the iterates
+    tested against the fixed-point residual, the one-step point first.
     """
 
     values: np.ndarray
@@ -107,10 +114,26 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
                            one_step=False, tol=1e-10, max_iter=200):
     """Worst observation in the eps-ball around the nominal impact.
 
-    Solves the fixed point f* = f - eps * theta(f*) where theta is the unit
-    gradient direction evaluated at the uncertain point, by damped fixed-point
-    iteration started at the nominal impact.  `one_step=True` instead
-    evaluates theta at the nominal point only (the two differ by O(eps^2)).
+    A trust-region subproblem, solved exactly through its KKT conditions.
+    With u = H*a per dimension, r(t) = u / (t (t + u)) is minus the utility's
+    derivative in the impact, and the worst shift s = f* - f satisfies
+    s_k = mu * r_k(f_k + s_k) with |s| = eps.  For a fixed multiplier mu each
+    s_k is the nonnegative root of the cubic s (f + s)(f + u + s) = mu * u,
+    convex and increasing for s >= 0, found by Newton warm-started from the
+    previous shift.  |s(mu)| rises with mu with a log-log slope in [1/3, 1],
+    so Newton steps in log mu solve the secular equation |s(mu)| = eps; a
+    bracket, narrowed by the sign of |s| - eps and by those slope bounds at
+    every iterate, takes a bisection step whenever Newton would leave it.
+
+    The iteration starts at the one-step point s = eps * r(f) / |r(f)|, which
+    is already the answer for K = 1 and whenever one dimension carries the
+    gradient.  An iterate is accepted once the fixed-point residual
+    max|eps * r(t) / |r(t)| - s| at t = f + s is below `tol` (raised to
+    32 roundings of max(f) + eps where it asks for less, which no iterate
+    resolves), and the returned values are f + eps * r(t) / |r(t)|.
+    Raises `IterationLimitError` after `max_iter` iterates.  `one_step=True`
+    instead evaluates the direction at the nominal point only (the two
+    differ by O(eps^2)).
 
     Because the utility decreases in the impact, the worst case inflates it:
     values >= nominal elementwise, and the ball constraint is active whenever
@@ -121,67 +144,79 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
     a = np.asarray(own_action, dtype=float)
     f = game.as_impact(nominal_impact)
     game._check_impact(f)
-    if eps == 0.0:
-        theta = direction_vector(game.derivatives(spec, player, a, f))
-        return WorstCaseObservation(values=f.copy(), direction=theta)
+    u = spec.direct_gain(player) * a
 
-    def residual_of(f_t):
-        theta = direction_vector(game.derivatives(spec, player, a, f_t))
-        target = f - eps * theta
-        return theta, target, float(np.max(np.abs(target - f_t)))
-
-    # phase 1: plain iteration (fast when it contracts); phase 2: averaged
-    # updates, which damp the two-cycle the direction map can develop when
-    # several dimensions compete for the worst case
-    f_t = f.copy()
-    it = 0
-    for phase_iters, damping in ((min(12, max_iter), 1.0), (max_iter, 0.5)):
-        while it < phase_iters:
-            it += 1
-            theta, target, res = residual_of(f_t)
-            if one_step:
-                return WorstCaseObservation(values=target, direction=theta,
-                                            iterations=1, residual=res)
-            if res < tol:
-                return WorstCaseObservation(values=target, direction=theta,
-                                            iterations=it, residual=res)
-            f_t = (1.0 - damping) * f_t + damping * target
-
-    # fallback: the inner problem is convex on the ball, so projected
-    # gradient descent with backtracking always makes progress
-    value = game.utility(spec, player, a, f_t)
-    for _ in range(max_iter):
-        it += 1
-        bundle = game.derivatives(spec, player, a, f_t)
-        grad = bundle.grad_f
-        norm = float(np.linalg.norm(grad))
+    def fixed_point(t):
+        """Unit gradient direction at t, the ball point it gives, |r(t)|."""
+        r = u / (t * (t + u))
+        norm = math.sqrt(r @ r)
         if norm < _DEGENERATE_GRAD:
-            break
-        step = eps / norm
-        while step > 1e-16 * eps / norm:
-            cand = f_t - step * grad
-            shift = cand - f
-            dist = float(np.linalg.norm(shift))
-            if dist > eps:
-                cand = f + shift * (eps / dist)
-            cand = np.maximum(cand, game.IMPACT_FLOOR * 10.0)
-            cand_value = game.utility(spec, player, a, cand)
-            if cand_value < value - 1e-18:
-                f_t, value = cand, cand_value
-                break
-            step *= 0.5
-        theta, target, res = residual_of(f_t)
+            return np.zeros_like(f), f.copy(), norm
+        theta = -r / norm
+        return theta, f - eps * theta, norm
+
+    theta, target, _ = fixed_point(f)
+    if eps == 0.0:
+        return WorstCaseObservation(values=f.copy(), direction=theta)
+    if one_step:
+        return WorstCaseObservation(values=target, direction=theta,
+                                    iterations=1,
+                                    residual=float(abs(target - f).max()))
+
+    tol = max(tol, _ROUNDING * (float(f.max()) + eps))
+    s = target - f
+    log_eps = math.log(eps)
+    log_mu, lo, hi = None, -math.inf, math.inf
+    for it in range(1, max_iter + 1):
+        t = f + s
+        theta, target, norm_r = fixed_point(t)
+        res = float(abs(target - t).max())
         if res < tol:
             return WorstCaseObservation(values=target, direction=theta,
                                         iterations=it, residual=res)
-    theta, target, res = residual_of(f_t)
-    if res < max(tol, 1e-9):
-        return WorstCaseObservation(values=target, direction=theta,
-                                    iterations=it, residual=res)
+        if log_mu is None:
+            # the multiplier that maps the one-step point onto the ball
+            log_mu = log_eps - math.log(norm_r)
+        else:
+            # s = s(mu): |s| - eps fixes one end of the bracket, the slope
+            # bounds the other, and Newton in log mu steps from here
+            pq = t * (t + u)
+            slopes = pq / (pq + s * (2.0 * t + u))  # d log s_k / d log mu
+            n2 = float(s @ s)
+            gap = log_eps - 0.5 * math.log(n2)
+            if gap > 0:
+                lo, hi = max(lo, log_mu), min(hi, log_mu + 3.0 * gap)
+            else:
+                lo, hi = max(lo, log_mu + 3.0 * gap), min(hi, log_mu)
+            step = gap * n2 / float((s * s) @ slopes)
+            if not lo < log_mu + step < hi:
+                step = 0.5 * (lo + hi) - log_mu
+            # predict each root along its own log-log slope, then refine
+            s = s * np.exp(step * slopes)
+            log_mu += step
+        s = _cubic_roots(f, u, math.exp(log_mu), s)
     raise IterationLimitError(
-        f"worst-case observation did not converge in {it} iterations",
-        last_iterate=f_t, residual=res,
+        f"worst-case observation did not converge in {max_iter} iterations",
+        last_iterate=f + s, residual=res,
     )
+
+
+def _cubic_roots(f, u, mu, s):
+    """Nonnegative roots of s (f + s)(f + u + s) = mu * u, Newton from s >= 0.
+
+    The cubic is convex and increasing for s >= 0, so Newton converges from
+    any nonnegative start, monotonically after its first step; once a step
+    is below 1e-8 of f + s the next error is below rounding.
+    """
+    target = mu * u
+    for _ in range(100):
+        p = f + s
+        q = p + u
+        step = (s * p * q - target) / (p * q + s * (p + q))
+        s = s - step
+        if (abs(step) <= 1e-8 * p).all():
+            break
+    return s
 
 
 def complementary_slackness_residual(spec, player, own_action, nominal_impact,

@@ -193,3 +193,57 @@ def waterfill_level_oracle(q, lo, hi, budget):
             w_lo = mid
         else:
             w_hi = mid
+
+
+# ---------------------------------------------------------------------------
+# worst-case observation by nested bisection
+# ---------------------------------------------------------------------------
+
+def _bisect_increasing(fn, lo, hi, target):
+    """Elementwise root of an increasing fn on [lo, hi] by bisection.
+
+    Halves until the bracket's ends are adjacent floats and returns its
+    upper end, where fn >= target.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = fn(mid) >= target
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi
+
+
+def worst_case_observation_oracle(h, a, f, eps):
+    """Worst observation f + s on the eps-ball for log(1 + h a / t) utilities.
+
+    With u = h a, stationarity on the ball reads s = mu u / (t (t + u)) at
+    t = f + s, so each s_k is the nonnegative root of the increasing cubic
+    s (f + s)(f + u + s) = mu u, and |s(mu)| rises with mu.  Plain
+    bisection on mu for |s(mu)| = eps, and for every mu a bisection on
+    each dimension's cubic (its root is at most both (mu u)^(1/3) and
+    mu u / (f (f + u))).  Arrays are (..., K) with eps of shape (...), so
+    one call bisects a whole batch of states; where u vanishes everywhere
+    the nominal f comes back.
+    """
+    u = np.asarray(h, dtype=float) * np.asarray(a, dtype=float)
+    f = np.asarray(f, dtype=float)
+    eps = np.asarray(eps, dtype=float)[..., None]
+
+    def shift(mu):
+        target = mu * u
+        top = np.minimum(np.cbrt(target), target / (f * (f + u)))
+        return _bisect_increasing(lambda s: s * (f + s) * (f + u + s),
+                                  np.zeros_like(top), top, target)
+
+    def norm(mu):
+        return np.linalg.norm(shift(mu), axis=-1, keepdims=True)
+
+    live = np.any(u > 0, axis=-1, keepdims=True)
+    mu_hi = np.ones_like(eps)
+    while np.any(live & (norm(mu_hi) < eps)):
+        mu_hi = np.where(norm(mu_hi) < eps, 2.0 * mu_hi, mu_hi)
+    mu = _bisect_increasing(norm, np.zeros_like(mu_hi), mu_hi, eps)
+    return np.where(live, f + shift(mu), f)

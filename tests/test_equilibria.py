@@ -57,6 +57,23 @@ class TestFollowerBestResponse:
         a1 = rs.follower_best_response(spec, 1, np.zeros((2, 1)), 0.0)
         assert a1 == pytest.approx([2.0])
 
+    @pytest.mark.xfail(raises=IterationLimitError, strict=True,
+                       reason="the robust best-response loop cycles at the "
+                              "knife edge where a K = 2 response shuts off")
+    def test_radius_beyond_the_nominal_response_gives_the_floor(self):
+        h = np.array([1.160565732073676, 1.9318857405361058])
+        f = np.array([1.1282651255768243, 1.84781160212541])
+        c, eps = 1.028628560571046, 0.04
+        spec = rs.make_spec(direct=h[None, :], cross=np.zeros((1, 1, 2)),
+                            noise=f, leaders=(), action_min=0.0,
+                            action_max=8.0, price=[c])
+        # the worst case inflates the impact by eps in norm, so once eps
+        # covers the nominal response's reach |(h/c - f)+| = 0.0303 the
+        # robust response is the floor
+        assert eps >= np.linalg.norm(np.maximum(h / c - f, 0.0))
+        a = rs.follower_best_response(spec, 0, np.zeros((1, 2)), eps)
+        assert np.array_equal(a, np.zeros(2))
+
 
 def symmetric_followers_spec(x=0.2, box=8.0, noise=0.1):
     """Two followers, no leader: a = 1.9 - x*a fixed point by hand algebra."""
@@ -101,6 +118,15 @@ class TestFollowersNash:
             br = rs.follower_best_response(spec, n, res.profile.actions, 0.0)
             assert np.max(np.abs(br - res.profile.actions[n])) < 1e-10
 
+    def test_no_followers_returns_at_once(self):
+        spec = rs.make_spec(direct=[[1.0]], cross=np.zeros((1, 1, 1)),
+                            noise=0.1, leaders=(0,), action_max=5.0,
+                            price=[0.8])
+        res = rs.followers_nash(spec, np.array([[0.7]]), eps=0.1)
+        assert np.array_equal(res.profile.actions, [[0.7]])
+        assert res.diagnostics.iterations == 0
+        assert res.diagnostics.residual == 0.0
+
     def test_iteration_limit_error_carries_iterate(self):
         spec = symmetric_followers_spec(0.2)
         with pytest.raises(IterationLimitError) as exc_info:
@@ -131,6 +157,19 @@ class TestSolveNse:
         # each player solves log(1 + a/sigma) - c a alone: a = 1/c - sigma
         assert res.profile.actions[0, 0] == pytest.approx(1.25 - 0.1, abs=1e-7)
         assert res.profile.actions[1, 0] == pytest.approx(2.0 - 0.1, abs=1e-7)
+
+    def test_one_player_gets_its_own_optimum(self):
+        # a leader alone solves log(1 + h a / sigma) - c a per dimension:
+        # a = clip(1/c - sigma/h, box); the second dimension clamps at 0
+        h, sigma, c = np.array([1.3, 0.4]), np.array([0.2, 0.9]), 0.7
+        spec = rs.make_spec(direct=h[None, :], cross=np.zeros((1, 1, 2)),
+                            noise=sigma, leaders=(0,), action_max=8.0,
+                            price=[c])
+        res = rs.solve_nse(spec)
+        want = np.clip(1.0 / c - sigma / h, 0.0, 8.0)
+        assert res.profile.actions[0] == pytest.approx(want, abs=1e-8)
+        assert res.utilities[0] == pytest.approx(
+            float(np.sum(np.log1p(h * want / sigma) - c * want)), abs=1e-12)
 
     def test_degenerate_leader_box(self):
         spec = rs.make_spec(direct=[[1.0], [1.0]],

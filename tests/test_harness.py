@@ -128,6 +128,15 @@ class TestRunExperiment:
         rows = load_rows(summary.csv_path)
         assert [r["kind"] for r in rows] == ["NSE"]
 
+    def test_one_player_sweep_completes(self, tmp_path):
+        config = small_config(n_players=1, utility={"kind": "priced",
+                                                    "price": [0.8]},
+                              out_dir=str(tmp_path), format="csv+svg")
+        summary = run_experiment(config, quiet=True)
+        assert summary.excluded == 0 and len(summary.records) == 2
+        rows = load_rows(summary.csv_path)
+        assert sorted({r["kind"] for r in rows}) == ["NSE", "RSE1", "RSE2"]
+
     def test_rerun_identical_apart_from_timestamp(self, tmp_path):
         config = small_config(out_dir=str(tmp_path / "a"))
         s1 = run_experiment(config, quiet=True)

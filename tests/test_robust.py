@@ -1,13 +1,16 @@
-"""Worst-case observations (fixed point vs brute force) and cross-gain shrink."""
+"""Worst-case observations (exact KKT point vs oracles) and cross-gain shrink."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rsgame as rs
-from rsgame.errors import InvalidSpecError
+from rsgame.errors import InvalidSpecError, IterationLimitError
 
 from conftest import random_state
-from oracles import brute_force_worst_observation
+from oracles import (brute_force_worst_observation,
+                     worst_case_observation_oracle)
 
 
 class TestDirectionVector:
@@ -109,6 +112,96 @@ class TestWorstCaseObservation:
         with pytest.raises(InvalidSpecError):
             rs.worst_case_observation(e1_spec, 1, np.array([1.0]),
                                       np.array([0.6]), -0.1)
+
+
+class TestWorstCaseExactness:
+    """The KKT point on states from K = 1 to 8, radii up to 1e4 times f."""
+
+    def test_single_dimension_is_nominal_plus_radius(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            h, a = rng.uniform(0.2, 3.0), rng.uniform(1e-3, 3.0)
+            f = rng.uniform(0.01, 3.0)
+            eps = float(f * 10.0 ** rng.uniform(-2.0, 4.0))
+            spec = _single_player_spec(np.array([h]))
+            wco = rs.worst_case_observation(spec, 0, np.array([a]),
+                                            np.array([f]), eps)
+            assert wco.values[0] == f + eps
+            assert wco.iterations == 1
+
+    @given(st.data())
+    def test_properties(self, data):
+        k = data.draw(st.integers(1, 8))
+
+        def column(elements):
+            return np.array(data.draw(st.lists(elements, min_size=k,
+                                               max_size=k)))
+
+        h = column(st.one_of(st.just(0.0), _floats(0.2, 3.0)))
+        a = column(st.one_of(st.just(0.0), _floats(0.0, 3.0)))
+        f = column(_floats(0.01, 3.0))
+        eps = float(f.min() * 10.0 ** data.draw(_floats(-2.0, 4.0)))
+        # the oracle's bracket on mu overflows for a subnormal H*a, where
+        # the gradient is degenerate and its values are not compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = worst_case_observation_oracle(h, a, f, eps)
+        _check_worst_case(h, a, f, eps, want)
+
+    def test_seeded_stress(self):
+        rng = np.random.default_rng(15)
+        n, k_max = 2000, 8
+        ks = rng.integers(1, k_max + 1, size=n)
+        h = rng.uniform(0.2, 3.0, size=(n, k_max))
+        h[rng.uniform(size=(n, k_max)) < 0.1] = 0.0
+        a = rng.uniform(0.0, 3.0, size=(n, k_max))
+        a[rng.uniform(size=(n, k_max)) < 0.15] = 0.0
+        a[rng.uniform(size=n) < 0.02] = 0.0  # nothing at stake at all
+        f = 10.0 ** rng.uniform(-2.0, 0.5, size=(n, k_max))
+        # pad past each state's K with idle dimensions (h = 0, f = 1): they
+        # carry no gradient, so the oracle's batch ignores them
+        idle = np.arange(k_max)[None, :] >= ks[:, None]
+        h[idle], f[idle] = 0.0, 1.0
+        eps = np.array([f[i, :ks[i]].min() for i in range(n)]) \
+            * 10.0 ** rng.uniform(-2.0, 4.0, size=n)
+        want = worst_case_observation_oracle(h, a, f, eps)
+        for i in range(n):
+            k = ks[i]
+            _check_worst_case(h[i, :k], a[i, :k], f[i, :k], float(eps[i]),
+                              want[i, :k])
+
+    def test_iteration_limit(self):
+        spec = _single_player_spec(np.array([1.0, 1.5]))
+        a, f = np.array([1.0, 0.4]), np.array([0.6, 0.9])
+        with pytest.raises(IterationLimitError) as info:
+            rs.worst_case_observation(spec, 0, a, f, 0.2, max_iter=1)
+        assert info.value.last_iterate.shape == (2,)
+        assert rs.worst_case_observation(spec, 0, a, f, 0.2).iterations > 1
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _single_player_spec(h):
+    k = h.size
+    return rs.make_spec(direct=h[None, :], cross=np.zeros((1, 1, k)),
+                        noise=0.05, leaders=(), action_max=10.0, price=[0.5])
+
+
+def _check_worst_case(h, a, f, eps, want):
+    """The four checks of one state against the oracle's values `want`."""
+    spec = _single_player_spec(h)
+    wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+    assert np.all(wco.values >= f)
+    res = rs.complementary_slackness_residual(spec, 0, a, f, eps, wco)
+    assert res <= 1e-8 * max(1.0, eps)
+    if np.linalg.norm(rs.derivatives(spec, 0, a, f).grad_f) < 1e-14:
+        # nothing at stake (documented threshold): no worst case
+        assert np.array_equal(wco.values, f)
+        assert not np.any(wco.direction)
+        return
+    assert np.linalg.norm(wco.values - f) == pytest.approx(eps, rel=1e-9)
+    assert np.max(np.abs(wco.values - want)) <= 1e-9
 
 
 def _ball(rng, n, k):

@@ -6,9 +6,16 @@ q_k = f_k / H_k up to a common water level chosen to spend the budget.  The
 level is exact: the total allocation is piecewise linear in it, so
 `waterfill_batch` reads it off the sorted breakpoints where channels enter
 the active set or saturate.  The Euclidean projection onto a box with a sum
-budget is the same problem with q = -z.  The robust variant alternates
-waterfilling with the exact worst-case observation (`robust`'s KKT point)
-until the pair is a fixed point of the max-min problem.
+budget is the same problem with q = -z.
+
+The robust variant is the saddle point of the max-min problem over the
+eps-ball of observations: the waterfill against the worst observation, which
+is in turn the worst case (`robust.worst_case_observation`) against it.
+`robust_waterfill_batch` solves its KKT conditions exactly, one water level
+and one ball multiplier per row: in closed form per channel for a fixed
+(level, multiplier), and by bracketed Newton steps in the level and, on the
+Schur complement, in the log multiplier.  `robust_waterfill` is its one-row
+call.
 """
 
 from dataclasses import dataclass
@@ -111,50 +118,266 @@ def project_box_budget(z, lo, hi, budget):
 
 
 def robust_waterfill(spec, player, nominal_impact, eps, budget, *, tol=1e-9,
-                     max_iter=500):
-    """Fixed point of worst-case observation and waterfilling.
+                     max_iter=200):
+    """Max-min robust waterfill of one player: one row of `robust_waterfill_batch`.
 
-    Alternates the two maps until the allocation is stationary; one damping
-    retry (factor 0.5) is attempted before giving up.
+    The allocation that maximizes the worst-case utility over the eps-ball
+    of observations around the nominal impact: the waterfill against the
+    worst observation, which is in turn the worst case against it.  `tol`
+    bounds the KKT residual (budget spent and ball radius met); raises
+    `IterationLimitError` after `max_iter` iterates.
     """
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
-    f_nom = game.as_impact(nominal_impact)
-    if eps == 0.0:
-        return waterfill(spec, player, f_nom, budget)
+    if budget <= 0:
+        raise InvalidSpecError("budget must be positive")
+    f = game.as_impact(nominal_impact)
+    game._check_impact(f)
+    alloc, _ = robust_waterfill_batch(
+        f[None, :], spec.direct_gain(player)[None, :], spec.action_min[player],
+        spec.action_max[player], budget, eps, tol=tol, max_iter=max_iter)
+    return alloc[0]
 
-    def iterate(damping):
-        # short undamped warm-up, then averaged updates; the damping halves
-        # whenever the residual stalls (the alternation can cycle with a
-        # strongly expansive map when the radius rivals the impacts)
-        a = waterfill(spec, player, f_nom, budget)
-        best_res, stall = np.inf, 0
-        for it in range(max_iter):
-            wco = robust.worst_case_observation(spec, player, a, f_nom, eps,
-                                                tol=min(tol, 1e-11))
-            a_next = waterfill(spec, player, wco.values, budget)
-            if it >= 3:
-                a_next = (1.0 - damping) * a + damping * a_next
-            res = float(np.max(np.abs(a_next - a)))
-            a = a_next
-            if res < tol:
-                return a, res
-            if res > 0.9 * best_res:
-                stall += 1
-                if stall >= 12:
-                    damping = max(0.02, damping * 0.5)
-                    stall = 0
-            else:
-                best_res, stall = res, 0
-        return None, res
 
-    a, res = iterate(damping=0.5)
-    if a is None:
-        a, res = iterate(damping=0.1)
-    if a is None:
-        raise IterationLimitError("robust waterfilling did not converge",
-                                  residual=res)
-    return a
+def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
+                           max_iter=200):
+    """Saddle points of the max-min robust waterfill, one per row.
+
+    f (nominal impacts) and h (direct gains) are (B, K); lo and hi broadcast
+    to them, budget and eps are scalars or (B,).  Returns the allocations a
+    and the worst observations t = f + s, both (B, K): a is the waterfill of
+    t, spending what `waterfill_batch` spends, and s the worst shift on the
+    eps-ball against a.  With u = h * a, one water level w and one ball
+    multiplier mu per row satisfy
+
+        a_k = clip(w - t_k / h_k, lo_k, hi_k),  sum(a) = target,
+        s_k = mu * u_k / (t_k (t_k + u_k)),     |s| = eps.
+
+    For a fixed (w, mu) each t_k is unique.  On the interior piece
+    t + u = h w, so t is the positive root of t^2 + (mu / (h w) - f) t = mu
+    in closed form; on the floor or ceiling piece u is fixed and s is the
+    root of the cubic s (f + s)(f + s + u) = mu u (`robust._cubic_roots`).
+    sum(a) rises in w and falls in mu, so Newton steps in w meet the budget
+    inside a bracket from the nominal level (t >= f), from t <= f + sqrt(mu)
+    and from the level at the previous mu.  |s| rises in mu along that
+    w(mu), so Newton steps in log mu on the Schur complement meet the ball
+    inside a bracket set by the sign of |s| - eps, and move w along w(mu)
+    in log-log terms.  A step that would leave its bracket, or is not half
+    the step before the last, bisects the bracket instead.  The start is
+    the nominal waterfill and mu = eps / |r|, r = u / (f (f + u)) at f.
+
+    A row is done once |sum(a) - target| and ||s| - eps| are below `tol`,
+    raised to 32 roundings of the values involved where it asks for less,
+    or once its bracket has closed to rounding.  Raises `IterationLimitError`
+    with the batch's last allocations after `max_iter` iterates.  Rows with
+    eps = 0 or nothing at stake (every h * a = 0) get the nominal waterfill.
+    """
+    f = np.asarray(f, dtype=float)
+    b, k = f.shape
+    h = np.broadcast_to(np.asarray(h, dtype=float), (b, k))
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (b, k))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (b, k))
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), (b,))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (b,))
+    usable = h > 0
+    hs = np.where(usable, h, 1.0)
+    q = np.where(usable, f / hs, np.inf)
+    alloc = waterfill_batch(q, lo, hi, budget)
+    worst = f.copy()
+    u = h * alloc
+    r = u / (f * (f + u))
+    norm_r = np.sqrt((r * r).sum(axis=1))
+    rows = np.flatnonzero((eps > 0) & (norm_r >= robust._DEGENERATE_GRAD))
+    if rows.size == 0:
+        return alloc, worst
+
+    # a nominal level: a + q is the level on a channel strictly inside its
+    # box and at most the level on a ceiling; with every channel on its
+    # floor, min(q + lo) is one
+    raised = usable & (alloc > lo)
+    w_nom = np.where(raised.any(axis=1),
+                     np.where(raised, alloc + q, -np.inf).max(axis=1),
+                     np.where(usable, q + lo, np.inf).min(axis=1))
+    st = _Saddle(
+        rows, f[rows], hs[rows], usable[rows], lo[rows], hi[rows],
+        target=alloc[rows].sum(axis=1), eps=eps[rows], w_nom=w_nom[rows],
+        reach=np.where(raised, 1.0 / hs, 0.0).max(axis=1)[rows],
+        log_mu=np.log(eps[rows] / norm_r[rows]), tol=tol)
+    for _ in range(max_iter):
+        st.evaluate()
+        done = st.converged()
+        if done.any():
+            alloc[st.rows[done]] = st.a[done]
+            worst[st.rows[done]] = st.f[done] + st.s[done]
+            if done.all():
+                return alloc, worst
+            st.keep(~done)
+        st.step()
+    alloc[st.rows] = st.a
+    raise IterationLimitError(
+        f"robust waterfilling did not converge in {max_iter} iterations",
+        last_iterate=alloc, residual=float(np.max(np.maximum(
+            np.abs(st.res_w), np.abs(st.res_mu)))))
+
+
+# steps a row may take in mu while off the budget
+_JOINT_ITERS = 12
+
+
+class _Saddle:
+    """Live rows of `robust_waterfill_batch`: the iterate (w, log mu), its
+    brackets and last steps, and what `evaluate` finds there."""
+
+    def __init__(self, rows, f, h, usable, lo, hi, *, target, eps, w_nom,
+                 reach, log_mu, tol):
+        self.rows, self.f, self.h, self.lo, self.hi = rows, f, h, lo, hi
+        self.inv_h = 1.0 / h
+        # a channel with h w <= h lo + f is on its floor whatever t >= f
+        self.edge = np.where(usable, h * lo + f, np.inf)
+        self.u_lo = np.where(usable, h * lo, 0.0)
+        finite = usable & np.isfinite(hi)
+        self.u_hi = np.where(finite, h * np.where(finite, hi, 0.0), 0.0)
+        self.target, self.eps, self.log_eps = target, eps, np.log(eps)
+        self.w_nom, self.reach = w_nom, reach
+        self.tol_s = np.maximum(tol, robust._ROUNDING * (f.max(axis=1) + eps))
+        self.tol = tol
+        n = rows.size
+        self.log_mu = log_mu
+        self.mu_lo, self.mu_hi = np.full(n, -np.inf), np.full(n, np.inf)
+        self.dmu, self.dmu_old = np.full(n, np.inf), np.full(n, np.inf)
+        self.w, self.w_lo = w_nom.copy(), w_nom.copy()
+        self.w_hi = w_nom + np.exp(0.5 * log_mu) * reach
+        self.dw, self.dw_old = np.full(n, np.inf), np.full(n, np.inf)
+        self.age = np.zeros(n)
+
+    def keep(self, live):
+        for key, val in vars(self).items():
+            if isinstance(val, np.ndarray):
+                setattr(self, key, val[live])
+
+    def evaluate(self):
+        """Allocation, shift and derivatives at the current (w, mu)."""
+        f, h, inv_h = self.f, self.h, self.inv_h
+        w = self.w[:, None]
+        mu = np.exp(self.log_mu)[:, None]
+        hw = h * w
+        open_ = hw > self.edge
+        hw = np.where(open_, hw, 1.0)
+        c = mu / hw - f
+        root = np.sqrt(c * c + 4.0 * mu)
+        t = np.where(c > 0, 2.0 * mu / (c + root), 0.5 * (root - c))
+        a = w - t * inv_h
+        floor = ~open_ | (a <= self.lo)
+        ceil = ~floor & (a >= self.hi)
+        inner = ~(floor | ceil)
+        g = np.where(inner, t / (hw * (t * t + mu)), 0.0)
+        t_w = h * mu * t * g / hw                  # dt/dw
+        s_mu = (hw - t) * g                         # ds/dmu
+        self.da_dw = (inner - t_w * inv_h).sum(axis=1)
+        self.da_dmu = -(s_mu * inv_h).sum(axis=1)
+        s = np.where(inner, t - f, 0.0)
+        for piece, u in ((floor, self.u_lo), (ceil, self.u_hi)):
+            sel = piece & (u > 0)
+            if sel.any():
+                fs, us = f[sel], u[sel]
+                ms = np.broadcast_to(mu, sel.shape)[sel]
+                start = np.minimum(np.cbrt(ms * us), ms * us / (fs * (fs + us)))
+                ss = robust._cubic_roots(fs, us, ms, start)
+                p = fs + ss
+                s[sel] = ss
+                s_mu[sel] = us / (p * (p + us) + ss * (2.0 * p + us))
+        self.a = np.where(floor, self.lo, np.where(ceil, self.hi, a))
+        self.s = s
+        self.ss_w = (s * t_w).sum(axis=1)
+        self.ss_mu = (s * s_mu).sum(axis=1)
+        self.res_w = self.a.sum(axis=1) - self.target
+        self.norm_s = np.sqrt((s * s).sum(axis=1))
+        self.res_mu = self.norm_s - self.eps
+
+    def converged(self):
+        rounding = robust._ROUNDING
+        absw = np.abs(self.w)
+        self.on_budget = (
+            (np.abs(self.res_w) <= np.maximum(
+                self.tol, rounding * np.maximum(self.target, absw)))
+            | (self.w_hi - self.w_lo <= rounding * absw))
+        return self.on_budget & (
+            (np.abs(self.res_mu) <= self.tol_s)
+            | (self.mu_hi - self.mu_lo
+               <= rounding * np.maximum(1.0, np.abs(self.log_mu))))
+
+    def step(self):
+        """One safeguarded Newton step in w, and in log mu near the budget.
+
+        Off the budget the level takes a bracketed Newton step for the
+        current mu.  Near it (or on it) mu also steps, on the ball residual
+        predicted at the corrected level, and the level follows w(mu); its
+        bracket then restarts, from the old level where that was on the
+        budget.  The ball's bracket only moves on the budget, where the sign
+        of |s| - eps is the sign along w(mu); a row that has not converged
+        in `_JOINT_ITERS` steps stops stepping mu off the budget.
+        """
+        on, res_w, w = self.on_budget, self.res_w, self.w
+        self.age += 1
+        off = ~on
+        self.w_lo = np.where(off & (res_w < 0), w, self.w_lo)
+        self.w_hi = np.where(off & (res_w > 0), w, self.w_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -res_w / self.da_dw
+        dw = np.where(off, _safeguard(w, newton, self.w_lo, self.w_hi,
+                                      self.dw_old), 0.0)
+        near = on | ((dw == newton) & (self.age <= _JOINT_ITERS)
+                     & (np.abs(res_w) <= 1e-2 * self.target))
+        self.dw_old, self.dw = self.dw, dw
+        w = w + dw
+        self.w = w
+        if not near.any():
+            return
+        res_mu, log_mu, norm_s = self.res_mu, self.log_mu, self.norm_s
+        self.mu_lo = np.where(on & (res_mu < 0), log_mu, self.mu_lo)
+        self.mu_hi = np.where(on & (res_mu > 0), log_mu, self.mu_hi)
+        mu = np.exp(log_mu)
+        # along w(mu): dw/dmu from the budget row, the Schur complement
+        da_dw = np.where(self.da_dw > 0, self.da_dw, 1.0)
+        dw_dmu = np.where(self.da_dw > 0, -self.da_dmu / da_dw, 0.0)
+        norm_on = np.clip(norm_s + self.ss_w / norm_s * dw, 0.5 * norm_s,
+                          2.0 * norm_s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = mu * (self.ss_mu + self.ss_w * dw_dmu) / (norm_s * norm_s)
+            step = (self.log_eps - np.log(norm_on)) / slope
+        step = np.where(np.isfinite(step), step, -10.0 * np.sign(res_mu))
+        step = _safeguard(log_mu, np.clip(step, -10.0, 10.0), self.mu_lo,
+                          self.mu_hi, self.dmu_old)
+        self.dmu_old = np.where(near, self.dmu, self.dmu_old)
+        self.dmu = np.where(near, step, self.dmu)
+        self.log_mu = np.where(near, log_mu + step, log_mu)
+        # sum(a) falls in mu: a level at or below the budget stays below it
+        # for a larger mu, one at or above it above it for a smaller mu; and
+        # the level moves along its log-log slope
+        up = step > 0
+        w_hi = self.w_nom + np.exp(0.5 * self.log_mu) * self.reach
+        w_lo = np.where(on & up & (res_w <= 0), w, self.w_nom)
+        w_hi = np.where(on & ~up & (res_w >= 0), np.minimum(w, w_hi), w_hi)
+        w_pred = np.clip(w * np.exp(step * mu * dw_dmu / w), w_lo, w_hi)
+        self.w = np.where(near, w_pred, w)
+        self.w_lo = np.where(near, w_lo, self.w_lo)
+        self.w_hi = np.where(near, w_hi, self.w_hi)
+        self.dw = np.where(near, np.inf, self.dw)
+        self.dw_old = np.where(near, np.inf, self.dw_old)
+
+
+def _safeguard(x, step, lo, hi, step_old):
+    """A Newton step from x, unless it leaves (lo, hi) or is not half of
+    `step_old`: then the step to the bracket's midpoint, or one unit toward
+    its open side while one end is still infinite."""
+    x_new = x + step
+    inside = (lo < x_new) & (x_new < hi)
+    newton = inside & (np.abs(step) <= 0.5 * np.abs(step_old))
+    bounded = np.isfinite(lo) & np.isfinite(hi)
+    with np.errstate(invalid="ignore"):
+        mid = np.where(bounded, 0.5 * (lo + hi) - x, np.where(
+            np.isfinite(lo), 1.0, -1.0))
+    return np.where(newton | (inside & ~bounded), step, mid)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from . import analysis, budget as budget_mod, equilibria
 from .harness import (ExperimentConfig, generate_channels,
                       heuristic_leader_selection, monte_carlo_cdf,
                       run_experiment)
-from .harness.experiment import _fmt
+from .harness.experiment import csv_line, csv_value, write_csv
 from .harness.svgplot import cdf_plot, write_svg
 
 
@@ -48,12 +48,9 @@ def _write_result_csv(config, res, name):
     a = res.profile.actions
     n, k = a.shape
     header = ["player"] + [f"a_{d}" for d in range(k)] + ["utility"]
-    lines = [",".join(header)]
-    for p in range(n):
-        lines.append(",".join([str(p)] + [_fmt(v) for v in a[p]]
-                              + [_fmt(res.utilities[p])]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [csv_line(header)]
+    lines += [csv_line([p, *a[p], res.utilities[p]]) for p in range(n)]
+    write_csv(path, lines)
     print(f"wrote {path}")
 
 
@@ -130,12 +127,11 @@ def _cmd_montecarlo(config, args):
     print(f"fraction with follower d > 0: {cdf.positive_fraction:.4f}")
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "montecarlo_cdf.csv")
-    lines = [f"# metric: {cdf.metric} eps: {_fmt(cdf.eps_used)} "
-             f"positive_fraction: {_fmt(cdf.positive_fraction)}",
+    lines = [f"# metric: {cdf.metric} eps: {csv_value(cdf.eps_used)} "
+             f"positive_fraction: {csv_value(cdf.positive_fraction)}",
              "value,fraction"]
-    lines += [f"{_fmt(v)},{_fmt(f)}" for v, f in zip(cdf.values, cdf.fractions)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [csv_line(pair) for pair in zip(cdf.values, cdf.fractions)]
+    write_csv(path, lines)
     print(f"wrote {path}")
     if config.format == "csv+svg":
         svg_path = os.path.join(config.out_dir, "montecarlo_cdf.svg")

@@ -416,7 +416,7 @@ def _bilevel_budgeted(model_spec, unc, leader, tol, nash_tol, restarts, seed,
 
 
 def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
-                   seed=0):
+                   seed=0, notes=None):
     leader = _single_leader(spec)
     model_spec = believed_spec if believed_spec is not None else spec
     nash_tol = min(tol * 1e-3, 1e-12)
@@ -432,7 +432,8 @@ def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
     nash = followers_nash(spec, committed, eps=unc, tol=max(nash_tol, 1e-12))
     actions = nash.profile.actions.copy()
     actions[leader] = a0
-    notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations}
+    notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
+             **(notes or {})}
     if believed_spec is not None:
         f0_model = game.aggregate_impact(model_spec, actions, leader).values
         notes["believed_leader_utility"] = game.utility(model_spec, leader, a0, f0_model)
@@ -457,7 +458,10 @@ def solve_rse2(spec, eps, delta, tol=1e-9, restarts=20, seed=0):
 
     The leader plans against the uniformly shrunken worst-case gains toward
     each follower (and the followers' eps-robust responses), commits its
-    action, and the outcome is realized with the true gains.
+    action, and the outcome is realized with the true gains.  The
+    (follower, leader) pairs whose radius exceeds the smallest nominal gain,
+    where the believed gains clamp at zero, are listed in
+    `diagnostics.notes["oversized_info_radius"]`.
     """
     leader = _single_leader(spec)
     unc = robust.coerce_uncertainty(spec, eps=eps, delta=delta)
@@ -466,8 +470,10 @@ def solve_rse2(spec, eps, delta, tol=1e-9, restarts=20, seed=0):
         gains[nf, leader, :] = robust.worst_case_cross_gain(
             spec, nf, leader, unc.info_radius[nf, leader])
     believed = spec.with_cross_gain(gains)
+    oversized = robust.oversized_info_radius(spec, unc)
     return _solve_bilevel(spec, unc, tol, "RSE2", believed_spec=believed,
-                          restarts=restarts, seed=seed)
+                          restarts=restarts, seed=seed,
+                          notes={"oversized_info_radius": oversized})
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,29 @@ class ExperimentSummary:
     agreement: dict    # condition/prediction agreement
 
 
-def _fmt(x):
+def csv_value(x):
+    """One CSV cell: empty for None, text as is, 1/0 for booleans, integers
+    as written and floats to 17 significant digits, which read back exactly."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
+
+
+def csv_line(values):
+    """One CSV line of `csv_value` cells."""
+    return ",".join(csv_value(v) for v in values)
+
+
+def write_csv(path, lines):
+    """Write lines (comments, a header and `csv_line` rows) as one file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _columns(n, k):
@@ -76,23 +91,23 @@ def _activity_threshold(spec):
 def _row(spec, instance, kind, eps, delta, res, d, conds, overlap):
     n, k = spec.n_players, spec.n_dims
     a = res.profile.actions
-    vals = [str(instance), kind, _fmt(eps), _fmt(delta)]
-    vals += [_fmt(a[p, dd]) for p in range(n) for dd in range(k)]
-    vals += [_fmt(res.utilities[p]) for p in range(n)]
-    vals += [_fmt(res.social)]
+    vals = [instance, kind, eps, delta]
+    vals += [a[p, dd] for p in range(n) for dd in range(k)]
+    vals += [res.utilities[p] for p in range(n)]
+    vals += [res.social]
     if kind == "NSE":
         vals += ["0"] * (n + 1)
     elif d is None:
         vals += [""] * (n + 1)  # undefined baseline: left blank
     else:
-        vals += [_fmt(d.per_player[p]) for p in range(n)]
-        vals += [_fmt(d.social)]
+        vals += [d.per_player[p] for p in range(n)]
+        vals += [d.social]
     for name in ("c1", "c2", "c3", "c4"):
         flag = conds.all_k.get(name) if conds is not None and conds.all_k else None
-        vals.append("" if flag is None else _fmt(bool(flag)))
-    vals += [str(overlap.sizes[p]) for p in range(n)]
-    vals += [str(overlap.common_sizes.get((0, 1), 0))]
-    return vals
+        vals.append(None if flag is None else bool(flag))
+    vals += [overlap.sizes[p] for p in range(n)]
+    vals += [overlap.common_sizes.get((0, 1), 0)]
+    return csv_line(vals)
 
 
 def solve_instance(config, spec, instance):
@@ -153,7 +168,7 @@ def run_experiment(config, quiet=False):
     n, k = config.n_players, config.n_dims
     lines = [f"# generated: {datetime.now(timezone.utc).isoformat()}",
              f"# schema: {SCHEMA}",
-             ",".join(_columns(n, k))]
+             csv_line(_columns(n, k))]
     for rec in records:
         spec = config.to_spec(rec.gains)
         for (kind, radius), res in sorted(rec.results.items(),
@@ -161,11 +176,9 @@ def run_experiment(config, quiet=False):
             eps = radius if kind == "RSE1" else 0.0
             delta = radius if kind == "RSE2" else 0.0
             d = rec.d_metrics.get((kind, radius))
-            lines.append(",".join(_row(spec, rec.instance, kind, eps, delta,
-                                       res, d, rec.conditions,
-                                       rec.overlap[(kind, radius)])))
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(_row(spec, rec.instance, kind, eps, delta, res, d,
+                              rec.conditions, rec.overlap[(kind, radius)]))
+    write_csv(csv_path, lines)
 
     # every instance shares the config's roles: grade and plot the leader
     # against the first follower (a one-player sweep has none)

@@ -3,7 +3,12 @@
 The cumulative-distribution study needs thousands of budgeted bi-level solves,
 so this module runs the whole ensemble in lockstep: all instances (and all
 finite-difference candidates) move through the follower's robust waterfilling
-and the leader's projected gradient ascent as stacked arrays.  Results agree
+and the leader's projected gradient ascent as stacked arrays.  The follower's
+response is the exact saddle point of its max-min problem, one row per
+instance, from the same kernel as the per-instance solvers
+(`budget.robust_waterfill_batch`: closed-form channels for a fixed water
+level and ball multiplier, bracketed Newton steps in both); it raises
+`IterationLimitError` rather than return an unconverged row.  Results agree
 with the per-instance solvers up to the shared ascent heuristic; a test
 cross-checks the two paths.
 """
@@ -12,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..budget import project_box_budget_batch, waterfill_batch
+from ..budget import (project_box_budget_batch, robust_waterfill_batch,
+                      waterfill_batch)
 from ..errors import ConfigError
 from . import channels
-
-_THETA_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -62,43 +66,17 @@ def batch_from_config(config, n_instances):
     ), gains
 
 
-def follower_response_batch(batch, a0, eps, outer=60, inner=16, tol=1e-9):
-    """Robust waterfilling of the follower against stacked leader actions.
+def follower_response_batch(batch, a0, eps):
+    """Robust waterfill of the follower against stacked leader actions.
 
-    Alternates two stages: the worst-case direction fixed point at a frozen
-    allocation (cheap derivative updates, averaged after a warm-up to damp
-    direction two-cycles) and one exact waterfill against the inflated
-    impact.  A handful of outer rounds reaches fixed-point residuals well
-    below the Monte Carlo resolution.
+    The follower sees the impact f = sigma1 + h10 * a0 and plays the
+    saddle point of its max-min problem over the eps-ball of observations,
+    one exact solve per row (`budget.robust_waterfill_batch`); eps = 0 is
+    the nominal waterfill.
     """
-    f_nom = batch.sigma1 + batch.h10 * a0
-    a1 = waterfill_batch(f_nom / batch.h11, batch.lo1, batch.hi1, batch.p1)
-    if eps == 0.0:
-        return a1
-    f_t = f_nom.copy()
-    for rnd in range(outer):
-        for it in range(inner):
-            denom = f_t + batch.h11 * a1
-            g = -batch.h11 * a1 / (f_t * denom)
-            norm = np.sqrt((g * g).sum(axis=1, keepdims=True))
-            theta = np.where(norm > _THETA_FLOOR,
-                             g / np.maximum(norm, _THETA_FLOOR), 0.0)
-            f_new = f_nom - eps * theta
-            f_t = f_new if it < 4 else 0.5 * (f_t + f_new)
-        a1_new = waterfill_batch(f_t / batch.h11, batch.lo1, batch.hi1, batch.p1)
-        shift = float(np.max(np.abs(a1_new - a1)))
-        # deterministic damping schedule: deeper averaging for stubborn cycles
-        if rnd < 3:
-            a1 = a1_new
-        elif rnd < 20:
-            a1 = 0.5 * (a1 + a1_new)
-        elif rnd < 40:
-            a1 = 0.75 * a1 + 0.25 * a1_new
-        else:
-            a1 = 0.9 * a1 + 0.1 * a1_new
-        if shift < tol:
-            break
-    return a1
+    f = batch.sigma1 + batch.h10 * a0
+    return robust_waterfill_batch(f, batch.h11, batch.lo1, batch.hi1,
+                                  batch.p1, eps)[0]
 
 
 def _leader_value_batch(batch, h00, h01, sigma0, a0, a1):

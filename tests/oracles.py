@@ -247,3 +247,141 @@ def worst_case_observation_oracle(h, a, f, eps):
         mu_hi = np.where(norm(mu_hi) < eps, 2.0 * mu_hi, mu_hi)
     mu = _bisect_increasing(norm, np.zeros_like(mu_hi), mu_hi, eps)
     return np.where(live, f + shift(mu), f)
+
+
+# ---------------------------------------------------------------------------
+# robust waterfill by nested bisection
+# ---------------------------------------------------------------------------
+
+def robust_waterfill_oracle(f, h, lo, hi, budget, eps):
+    """Max-min robust waterfill (a, t) for log(1 + h a / t) utilities.
+
+    The saddle point of max over the budgeted box of min over the eps-ball
+    around f: a = clip(w - t / h, lo, hi) spends the waterfill's total, and
+    t = f + s with s_k = mu u_k / (t_k (t_k + u_k)), u = h a, |s| = eps.
+    Three nested bisections, each down to adjacent floats:
+
+    * t_k for a fixed (mu, w): t - f - mu u(t) / (t (t + u(t))) with
+      u(t) = h clip(w - t / h, lo, hi) increases in t, is <= 0 at f and
+      >= 0 at (f + sqrt(f^2 + 4 mu)) / 2;
+    * w for a fixed mu: sum(a) rises in w;
+    * mu: |s| rises in mu along w(mu).
+
+    t_k rises in w and in mu, and w(mu) in mu, so the t and w found at the
+    ends of a bracket bracket them inside it.  Arrays are (B, K) with
+    budget and eps of shape (B,); channels with h = 0 sit on their floor
+    and see f.  Rows with nothing at stake (h a = 0 on every channel) get
+    mu = 0, the nominal waterfill.
+    """
+    f = np.asarray(f, dtype=float)
+    n = f.shape[0]
+    h, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), f.shape)
+                 for x in (h, lo, hi))
+    budget, eps = (np.broadcast_to(np.asarray(x, dtype=float), (n,))
+                   for x in (budget, eps))
+    usable = h > 0
+    target = np.maximum(lo.sum(axis=1), np.minimum(
+        budget, np.where(usable, hi, lo).sum(axis=1)))
+    # the usable channels, flattened row by row; the others sit at lo
+    row = np.nonzero(usable)[0]
+    fu, hu, lou, hiu = f[usable], h[usable], lo[usable], hi[usable]
+    idle = np.where(usable, 0.0, lo).sum(axis=1)
+
+    def alloc(w, t):
+        return np.clip(w[row] - t / hu, lou, hiu)
+
+    def spent(w, t):
+        return idle + np.bincount(row, weights=alloc(w, t), minlength=n)
+
+    def impacts(mu, w, t_lo, t_hi, rows):
+        """t on the channels of the selected rows (t_hi elsewhere)."""
+        sel = rows[row]
+        t = t_hi.copy()
+        if sel.any():
+            m, ww, hs, fs = mu[row][sel], w[row][sel], hu[sel], fu[sel]
+            ls, us = lou[sel], hiu[sel]
+
+            def g(t):
+                u = hs * np.clip(ww - t / hs, ls, us)
+                return t - fs - m * u / (t * (t + u))
+            t[sel] = _bisect_increasing(g, t_lo[sel], t_hi[sel], 0.0)
+        return t
+
+    def level(mu, w_lo, w_hi, t_lo, t_hi, rows):
+        """Lowest w with sum(a) >= target in [w_lo, w_hi], and t there."""
+        while True:
+            mid = 0.5 * (w_lo + w_hi)
+            live = rows & (mid != w_lo) & (mid != w_hi)
+            if not live.any():
+                return w_hi, impacts(mu, w_hi, t_lo, t_hi, rows)
+            t_mid = impacts(mu, mid, t_lo, t_hi, live)
+            up = spent(mid, t_mid) >= target
+            w_hi = np.where(live & up, mid, w_hi)
+            w_lo = np.where(live & ~up, mid, w_lo)
+            t_hi = np.where((live & up)[row], t_mid, t_hi)
+            t_lo = np.where((live & ~up)[row], t_mid, t_lo)
+
+    # below w_floor every channel is on its floor (t >= f); at w_top(mu)
+    # every usable channel reaches min(hi, target) (t <= t_max), which
+    # spends the target
+    w_floor = np.full(n, np.inf)
+    np.minimum.at(w_floor, row, fu / hu + lou)
+    w_floor = np.where(np.isfinite(w_floor), w_floor, 0.0) - 1.0
+
+    def t_max(mu):
+        m = mu[row]
+        return 0.5 * (fu + np.sqrt(fu * fu + 4.0 * m))
+
+    def w_top(mu):
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, row, t_max(mu) / hu + np.minimum(hiu, target[row]))
+        return np.maximum(top, w_floor + 1.0)
+
+    def solve(mu, w_lo=w_floor, t_lo=fu, rows=np.ones(n, dtype=bool)):
+        """w(mu) and t there, from lower bounds at a smaller mu."""
+        return level(mu, w_lo, w_top(mu), t_lo, t_max(mu), rows)
+
+    def norm(t):
+        return np.sqrt(np.bincount(row, weights=(t - fu) ** 2, minlength=n))
+
+    zero = np.zeros(n)
+    w0, t0 = solve(zero)
+    # nothing at stake: every usable channel is off whatever the radius
+    live = (eps > 0) & (np.bincount(row, weights=alloc(w0, t0) > 0,
+                                    minlength=n) > 0)
+    # bracket mu, growing by factors of 16 from the first-order multiplier
+    # eps / |r| at the nominal point (r = u / (f (f + u))) with the lower
+    # bounds carried up, then bisect
+    u0 = hu * alloc(w0, t0)
+    r0 = np.sqrt(np.bincount(row, weights=(u0 / (fu * (fu + u0))) ** 2,
+                             minlength=n))
+    mu_lo, w_lo, t_lo = zero, w0, t0
+    mu_hi = np.where(live, eps / np.where(live, r0, 1.0), 0.0)
+    w_hi, t_hi = w0, t0
+    grow = live
+    while grow.any():
+        w_new, t_new = solve(mu_hi, w_lo, t_lo, grow)
+        w_hi = np.where(grow, w_new, w_hi)
+        t_hi = np.where(grow[row], t_new, t_hi)
+        grow = grow & (norm(t_hi) < eps)
+        mu_lo = np.where(grow, mu_hi, mu_lo)
+        w_lo = np.where(grow, w_hi, w_lo)
+        t_lo = np.where(grow[row], t_hi, t_lo)
+        mu_hi = np.where(grow, 16.0 * mu_hi, mu_hi)
+    while True:
+        mid = 0.5 * (mu_lo + mu_hi)
+        on = live & (mid != mu_lo) & (mid != mu_hi)
+        if not on.any():
+            break
+        w_mid, t_mid = level(mid, w_lo, w_hi, t_lo, t_hi, on)
+        up = on & (norm(t_mid) >= eps)
+        down = on & ~up
+        mu_hi, w_hi = np.where(up, mid, mu_hi), np.where(up, w_mid, w_hi)
+        mu_lo, w_lo = np.where(down, mid, mu_lo), np.where(down, w_mid, w_lo)
+        t_hi = np.where(up[row], t_mid, t_hi)
+        t_lo = np.where(down[row], t_mid, t_lo)
+    w = np.where(live, w_hi, w0)
+    t_u = np.where(live[row], t_hi, t0)
+    a, t = lo.copy(), f.copy()
+    a[usable], t[usable] = alloc(w, t_u), t_u
+    return a, t

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsgame as rs
-from rsgame.budget import project_box_budget, waterfill_batch
-from rsgame.errors import InvalidSpecError
+from rsgame.budget import (project_box_budget, robust_waterfill_batch,
+                           waterfill_batch)
+from rsgame.errors import InvalidSpecError, IterationLimitError
+from rsgame.harness.montecarlo import TwoPlayerBatch, follower_response_batch
 
-from oracles import waterfill_grid_oracle, waterfill_level_oracle
+from oracles import (robust_waterfill_oracle, waterfill_grid_oracle,
+                     waterfill_level_oracle)
 
 
 def budgeted_spec(k, budgets=(5.0, 5.0), a_max=50.0, noise=0.1):
@@ -225,6 +228,119 @@ class TestRobustWaterfill:
         spec = budgeted_spec(2)
         with pytest.raises(InvalidSpecError):
             rs.robust_waterfill(spec, 1, np.array([0.5, 1.0]), -0.1, 1.0)
+
+
+class TestRobustWaterfillSaddle:
+    """The exact saddle point against a nested-bisection oracle, on boxes
+    with positive floors, infinite ceilings, budgets below the floors, zero
+    gains and radii up to 1e3 times the smallest impact."""
+
+    # one follower, box [0, 10], budget 10, eps 1: the former alternation
+    # hit its iteration limit here, and the former Monte Carlo schedule
+    # returned a 2-cycle iterate with a[0] = 0.01749 (defect 0.0175)
+    F = np.array([0.06724647897922985, 0.240690099323485, 1.1913513029667469,
+                  3.7783794145348852, 1.6396259283378412, 5.264555094173182])
+    H = np.array([0.01485463622808941, 0.04499991245847172, 0.4745643782500151,
+                  0.45052790551467914, 2.1448791600267816, 0.10696268066335522])
+
+    def test_two_cycle_regression(self):
+        want, _ = robust_waterfill_oracle(self.F[None], self.H[None], 0.0, 10.0,
+                                          10.0, 1.0)
+        spec = _follower_spec(self.H, np.zeros(6), np.full(6, 10.0), 10.0)
+        a = rs.robust_waterfill(spec, 0, self.F, 1.0, 10.0, tol=1e-11)
+        assert np.max(np.abs(a - want[0])) <= 1e-10
+        zero, one = np.zeros((1, 6)), np.ones((1, 6))
+        batch = TwoPlayerBatch(h00=one, h01=zero, h10=zero, h11=self.H[None],
+                               sigma0=one, sigma1=self.F[None], lo0=0.0,
+                               hi0=10.0, lo1=0.0, hi1=10.0, p0=10.0, p1=10.0)
+        a1 = follower_response_batch(batch, zero, 1.0)
+        assert np.max(np.abs(a1[0] - want[0])) <= 1e-10
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_properties(self, data):
+        k = data.draw(st.integers(1, 8))
+
+        def column(elements):
+            return np.array(data.draw(st.lists(elements, min_size=k,
+                                               max_size=k)))
+
+        f = column(_floats(0.01, 3.0))
+        h = column(st.one_of(st.just(0.0), _floats(0.05, 3.0)))
+        lo = column(st.one_of(st.just(0.0), _floats(0.0, 0.5)))
+        hi = lo + column(st.one_of(st.just(np.inf), _floats(0.2, 4.0)))
+        budget = data.draw(_floats(0.3, 1.2)) * max(lo.sum(), 0.1) \
+            if data.draw(st.booleans()) else data.draw(_floats(0.5, 10.0))
+        eps = float(f.min() * 10.0 ** data.draw(_floats(-2.0, 3.0)))
+        a, t = robust_waterfill_batch(f[None], h[None], lo, hi, budget, eps)
+        want = robust_waterfill_oracle(f[None], h[None], lo, hi, budget, eps)
+        _check_saddle(f, h, lo, hi, budget, eps, a[0], t[0],
+                      want[0][0], want[1][0])
+        spec = _follower_spec(h, lo, hi, budget)
+        assert np.array_equal(rs.robust_waterfill(spec, 0, f, eps, budget,
+                                                  tol=1e-12), a[0])
+
+    def test_seeded_stress(self):
+        rng = np.random.default_rng(26)
+        n, k_max = 2000, 8
+        ks = rng.integers(1, k_max + 1, size=n)
+        f = 10.0 ** rng.uniform(-2.0, 0.5, size=(n, k_max))
+        h = rng.uniform(0.05, 3.0, size=(n, k_max))
+        h[rng.uniform(size=(n, k_max)) < 0.1] = 0.0
+        lo = np.where(rng.uniform(size=(n, k_max)) < 0.4,
+                      rng.uniform(0.0, 0.5, size=(n, k_max)), 0.0)
+        hi = np.where(rng.uniform(size=(n, k_max)) < 0.3, np.inf,
+                      lo + rng.uniform(0.2, 4.0, size=(n, k_max)))
+        # pad past each row's K with idle channels (h = 0, floor 0)
+        idle = np.arange(k_max)[None, :] >= ks[:, None]
+        f[idle], h[idle], lo[idle], hi[idle] = 1.0, 0.0, 0.0, np.inf
+        floors = lo.sum(axis=1)
+        budget = np.where((floors > 0) & (rng.uniform(size=n) < 0.3),
+                          floors * rng.uniform(0.3, 0.95, size=n),
+                          rng.uniform(0.5, 10.0, size=n))
+        eps = np.array([f[i, :ks[i]].min() for i in range(n)]) \
+            * 10.0 ** rng.uniform(-2.0, 3.0, size=n)
+        a, t = robust_waterfill_batch(f, h, lo, hi, budget, eps)
+        want_a, want_t = robust_waterfill_oracle(f, h, lo, hi, budget, eps)
+        for i in range(n):
+            k = ks[i]
+            _check_saddle(f[i, :k], h[i, :k], lo[i, :k], hi[i, :k],
+                          float(budget[i]), float(eps[i]), a[i, :k], t[i, :k],
+                          want_a[i, :k], want_t[i, :k])
+
+    def test_iteration_limit(self):
+        f, h = self.F[None], self.H[None]
+        with pytest.raises(IterationLimitError) as info:
+            robust_waterfill_batch(f, h, 0.0, 10.0, 10.0, 1.0, max_iter=1)
+        assert info.value.last_iterate.shape == (1, 6)
+
+
+def _follower_spec(h, lo, hi, budget):
+    k = h.size
+    return rs.make_spec(direct=h[None, :], cross=np.zeros((1, 1, k)),
+                        noise=0.01, leaders=(), action_min=lo[None, :],
+                        action_max=hi[None, :], budget=[budget])
+
+
+def _check_saddle(f, h, lo, hi, budget, eps, a, t, want_a, want_t):
+    """The four checks of one row against the oracle's (want_a, want_t)."""
+    spec = _follower_spec(h, lo, hi, budget)
+    assert np.all(a >= lo) and np.all(a <= hi)
+    spend = max(lo.sum(), min(budget, np.where(h > 0, hi, lo).sum()))
+    assert a.sum() == pytest.approx(spend, rel=1e-12, abs=1e-12)
+    assert np.max(np.abs(a - want_a)) <= 1e-9
+    u = h * a
+    if np.linalg.norm(u / (f * (f + u))) < 1e-14:
+        # nothing at stake (the documented gradient threshold): no worst
+        # case, where the oracle still bisects for one
+        assert np.array_equal(t, f)
+        return
+    assert np.linalg.norm(t - f) == pytest.approx(eps, rel=1e-9)
+    assert np.max(np.abs(t - want_t)) <= 1e-9
+    # a fixed point of the two maps: the waterfill against the exact worst
+    # case of a is a again
+    wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+    assert np.max(np.abs(rs.waterfill(spec, 0, wco.values, budget) - a)) <= 1e-10
 
 
 class TestOverlapStats:

@@ -322,6 +322,14 @@ class TestSolveRse2:
         assert res.profile.actions == pytest.approx(nse.profile.actions,
                                                     abs=1e-8)
 
+    def test_oversized_radius_flagged_in_notes(self, e1_spec):
+        # delta / sqrt(K) = 0.8 exceeds the follower's cross gain 0.5: the
+        # believed gain clamps at zero, and the solve says so
+        res = rs.solve_rse2(e1_spec, 0.0, 0.8)
+        assert res.diagnostics.notes["oversized_info_radius"] == [(1, 0)]
+        assert rs.solve_rse2(e1_spec, 0.0, 0.1).diagnostics.notes[
+            "oversized_info_radius"] == []
+
     def test_leader_worse_than_case1_at_matched_eps(self, e1_spec):
         rse1 = rs.solve_rse1(e1_spec, 0.1)
         rse2 = rs.solve_rse2(e1_spec, 0.1, 0.1)

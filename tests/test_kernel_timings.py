@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rsgame as rs
+from rsgame.budget import robust_waterfill_batch
 
 H = np.array([0.54, 0.226, 0.279, 0.222])
 A = np.array([4.0, 3.0, 2.0, 1.0])
@@ -24,3 +25,15 @@ def test_worst_case_observation(benchmark, k):
     wco = benchmark(rs.worst_case_observation, spec, 0, A[:k], F[:k], EPS,
                     tol=1e-11)
     assert np.linalg.norm(wco.values - F[:k]) == pytest.approx(EPS, rel=1e-9)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("rows", [1, 512])
+def test_robust_waterfill_batch(benchmark, rows):
+    # the K = 4 state above, rows of it with the impacts scaled by fixed
+    # factors in [0.5, 2]
+    scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(rows, 1))
+    f, h = F * scale, np.broadcast_to(H, (rows, 4))
+    a, t = benchmark(robust_waterfill_batch, f, h, 0.0, 10.0, 10.0, EPS)
+    assert np.allclose(a.sum(axis=1), 10.0)
+    assert np.allclose(np.linalg.norm(t - f, axis=1), EPS, rtol=1e-9)

@@ -6,7 +6,8 @@ the follower's relative utility change.  When both players interfere
 strongly with each other (s2) the follower essentially never gains from its
 own conservatism; in the asymmetric scenarios (s1, s3) a noticeable fraction
 of instances leaves the follower better off — the opportunistic side effect
-of mutual retreat.  Full-size ensembles run in the acceptance suite.
+of mutual retreat.  The full-size study, 2000 instances of the s2
+ensemble, is acceptance criterion 9.
 """
 
 import os

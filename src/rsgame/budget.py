@@ -37,10 +37,12 @@ def waterfill(spec, player, impact, budget):
     """Budget-constrained best response: one row of `waterfill_batch`.
 
     a_k = clip(w - f_k/H_k, [lo_k, hi_k]) with the common water level w chosen
-    so the total equals min(budget, sum hi).  Channels whose inverse quality
-    exceeds the water level stay at their floor; if no channel is usable, or
-    the floors alone exceed the budget, the floor allocation is returned
-    rather than raising.
+    so the total equals max(sum lo, min(budget, sum over H_k > 0 of hi_k plus
+    sum over H_k = 0 of lo_k)): power on a channel with zero direct gain only
+    adds interference, so such a channel stays at its floor even when budget
+    is left.  Channels whose inverse quality exceeds the water level stay at
+    their floor; if no channel is usable, or the floors alone exceed the
+    budget, the floor allocation is returned rather than raising.
     """
     if budget <= 0:
         raise InvalidSpecError("budget must be positive")
@@ -54,6 +56,8 @@ def waterfill(spec, player, impact, budget):
 def waterfill_batch(q, lo, hi, budget):
     """Exact waterfill over a batch: q is (B, K), budget scalar or (B,).
 
+    Each row spends max(sum lo, min(budget, sum of hi over finite q plus sum
+    of lo over infinite q)); a channel with infinite q stays at its floor.
     Event sweep over the sorted 2K breakpoints: the total allocation is
     piecewise linear in the water level with slope equal to the number of
     active channels, so prefix sums of slope * segment-length locate the
@@ -187,6 +191,7 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
     u = h * alloc
     r = u / (f * (f + u))
     norm_r = np.sqrt((r * r).sum(axis=1))
+    del u, r  # the kernel's peak memory is its live (B, K) arrays
     rows = np.flatnonzero((eps > 0) & (norm_r >= robust._DEGENERATE_GRAD))
     if rows.size == 0:
         return alloc, worst
@@ -198,11 +203,14 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
     w_nom = np.where(raised.any(axis=1),
                      np.where(raised, alloc + q, -np.inf).max(axis=1),
                      np.where(usable, q + lo, np.inf).min(axis=1))
+    reach = np.where(raised, 1.0 / hs, 0.0).max(axis=1)
+    del q, raised
+    # views, not copies, when every row takes part
+    take = slice(None) if rows.size == b else rows
     st = _Saddle(
-        rows, f[rows], hs[rows], usable[rows], lo[rows], hi[rows],
-        target=alloc[rows].sum(axis=1), eps=eps[rows], w_nom=w_nom[rows],
-        reach=np.where(raised, 1.0 / hs, 0.0).max(axis=1)[rows],
-        log_mu=np.log(eps[rows] / norm_r[rows]), tol=tol)
+        rows, f[take], hs[take], usable[take], lo[take], hi[take],
+        target=alloc[take].sum(axis=1), eps=eps[take], w_nom=w_nom[take],
+        reach=reach[take], log_mu=np.log(eps[take] / norm_r[take]), tol=tol)
     for _ in range(max_iter):
         st.evaluate()
         done = st.converged()

@@ -8,6 +8,13 @@ The bi-level solvers come in three flavours sharing one engine:
   its gain toward each follower (radius delta), then commits, and is realized
   against followers using the true gains.
 
+The leader's search depends on the utility model.  Priced games split each
+leader coordinate at the followers' reaction kinks and maximize every
+piece.  Budgeted games run the lockstep leader engine (`rsgame.lockstep`)
+with one instance, the same engine the Monte Carlo pipeline runs on whole
+ensembles; `diagnostics.notes` records its kernel calls, its ascent steps
+and the gap between the best and the runner-up start's leader value.
+
 Utilities reported in an EquilibriumResult are always realized values:
 evaluated at the true parameters and nominal observations.
 """
@@ -18,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget as budget_mod
-from . import game, robust
+from . import game, lockstep, robust
 from .errors import (CombinatorialLimitError, DegenerateModelError,
                      InapplicableFormulaError, InvalidSpecError,
                      IterationLimitError)
-from .budget import project_box_budget
 from .numerics import box_corners, latin_hypercube, maximize_scalar
 
 _BOUNDARY_EPS = 1e-9
@@ -185,11 +191,19 @@ def followers_nash(spec, leaders_profile, eps=0.0, tol=1e-10, max_iter=500):
     if tol <= 0:
         raise InvalidSpecError("tol must be positive")
     unc = robust.coerce_uncertainty(spec, eps=eps)
+    actions, iterations, residual = _followers_fixed_point(
+        spec, leaders_profile, unc, tol, max_iter)
+    kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
+    return _make_result(kind, spec, actions, iterations=iterations,
+                        residual=residual)
+
+
+def _followers_fixed_point(spec, leaders_profile, unc, tol, max_iter=500):
+    """`followers_nash`'s iteration: (actions, sweeps, residual), no result."""
     actions = game.as_actions(leaders_profile).copy()
     followers = list(spec.followers)
-    kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
     if not followers:
-        return _make_result(kind, spec, actions, iterations=0, residual=0.0)
+        return actions, 0, 0.0
     damping = 1.0
     prev_res = np.inf
     for it in range(1, max_iter + 1):
@@ -200,7 +214,7 @@ def followers_nash(spec, leaders_profile, eps=0.0, tol=1e-10, max_iter=500):
         if res < tol:
             for n in followers:
                 actions[n] = responses[n]
-            return _make_result(kind, spec, actions, iterations=it, residual=res)
+            return actions, it, res
         if res > prev_res:  # oscillation: damp the Jacobi update
             damping = max(0.25, damping * 0.5)
         prev_res = res
@@ -254,8 +268,7 @@ def _bilevel_priced(model_spec, unc, leader, tol, nash_tol):
         """Believed leader utility and the followers' actions."""
         seed = cache["profile"].copy()
         seed[leader] = a0_row
-        nash = followers_nash(model_spec, seed, eps=unc, tol=nash_tol)
-        prof = nash.profile.actions
+        prof, _, _ = _followers_fixed_point(model_spec, seed, unc, nash_tol)
         cache["profile"] = prof.copy()
         f0 = game.aggregate_impact(model_spec, prof, leader).values
         return game.utility(model_spec, leader, a0_row, f0), prof[followers]
@@ -343,76 +356,21 @@ def _locate_kink(gap, free, held):
         secant = prev is not None and abs(q - p) <= 0.5 * width
 
 
-def _budgeted_leader_starts(model_spec, unc, leader, restarts, rng):
-    lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
-    p_max = model_spec.budget(leader)
-    starts = []
-    # waterfill vs noise only, vs everyone at max, and a uniform spread
-    others_min = model_spec.action_min.copy()
-    others_max = np.where(np.isinf(model_spec.action_max), 1.0, model_spec.action_max)
-    for others in (others_min, others_max):
-        f = game.aggregate_impact(model_spec, others, leader).values
-        starts.append(budget_mod.waterfill(model_spec, leader, f, p_max))
-    starts.append(project_box_budget(np.full_like(lo, p_max / model_spec.n_dims),
-                                     lo, hi, p_max))
-    while len(starts) < restarts:
-        w = rng.dirichlet(np.ones(model_spec.n_dims)) * p_max
-        starts.append(project_box_budget(w, lo, hi, p_max))
-    return starts[:max(restarts, 1)]
+def _bilevel_budgeted(model_spec, unc, leader, restarts, seed):
+    """The leader's budgeted problem: the lockstep engine's one-instance call.
 
-
-def _bilevel_budgeted(model_spec, unc, leader, tol, nash_tol, restarts, seed,
-                      grad_iters=60):
-    """Projected gradient ascent on the leader's non-separable budgeted problem.
-
-    Heuristic by design (the follower reaction makes the objective only
-    piecewise smooth); multiple starts guard against local maxima.
+    A projected gradient ascent from `lockstep.leader_starts`, heuristic by
+    design (the follower reaction makes the objective only piecewise
+    smooth).  Notes the engine's kernel calls, its ascent steps and the gap
+    between the best and the runner-up start's leader value.
     """
-    lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
-    p_max = model_spec.budget(leader)
-    rng = np.random.default_rng(seed)
-    cache = {"profile": model_spec.action_min.copy()}
-
-    def leader_value(a0_row):
-        seed_prof = cache["profile"].copy()
-        seed_prof[leader] = a0_row
-        nash = followers_nash(model_spec, seed_prof, eps=unc, tol=nash_tol)
-        prof = nash.profile.actions
-        cache["profile"] = prof.copy()
-        f0 = game.aggregate_impact(model_spec, prof, leader).values
-        return game.utility(model_spec, leader, a0_row, f0)
-
-    def ascend(a0):
-        val = leader_value(a0)
-        step = 0.25 * p_max
-        h_fd = 1e-6 * max(1.0, p_max)
-        for _ in range(grad_iters):
-            grad = np.empty_like(a0)
-            for k in range(a0.size):
-                up = a0.copy(); up[k] += h_fd
-                dn = a0.copy(); dn[k] -= h_fd
-                grad[k] = (leader_value(np.clip(up, lo, hi))
-                           - leader_value(np.clip(dn, lo, hi))) / (2 * h_fd)
-            moved = False
-            while step > 1e-12 * p_max:
-                cand = project_box_budget(a0 + step * grad, lo, hi, p_max)
-                cand_val = leader_value(cand)
-                if cand_val > val + 1e-15:
-                    a0, val, moved = cand, cand_val, True
-                    step *= 1.6
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return a0, val
-
-    best, best_val, iters = None, -np.inf, 0
-    for start in _budgeted_leader_starts(model_spec, unc, leader, restarts, rng):
-        a0, val = ascend(start.copy())
-        iters += 1
-        if val > best_val:
-            best, best_val = a0, val
-    return best, iters
+    stacked = lockstep.StackedGame.from_spec(model_spec, leader)
+    ascent = lockstep.leader_ascent(
+        stacked, unc.obs_radius[stacked.followers], restarts=restarts,
+        seed=seed)
+    notes = {"engine_calls": ascent.calls, "ascent_steps": ascent.steps,
+             "start_gap": float(ascent.start_gap[0])}
+    return ascent.actions[0], ascent.steps, notes
 
 
 def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
@@ -421,10 +379,11 @@ def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
     model_spec = believed_spec if believed_spec is not None else spec
     nash_tol = min(tol * 1e-3, 1e-12)
     if spec.is_budgeted:
-        a0, iters = _bilevel_budgeted(model_spec, unc, leader, tol, max(nash_tol, 1e-11),
-                                      restarts, seed)
+        a0, iters, search_notes = _bilevel_budgeted(model_spec, unc, leader,
+                                                     restarts, seed)
     else:
         a0, iters = _bilevel_priced(model_spec, unc, leader, tol, nash_tol)
+        search_notes = {}
     # realization: commit a0, followers respond with true gains (and their own
     # robust responses); utilities evaluated at true parameters.
     committed = spec.action_min.copy()
@@ -433,7 +392,7 @@ def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
     actions = nash.profile.actions.copy()
     actions[leader] = a0
     notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
-             **(notes or {})}
+             **search_notes, **(notes or {})}
     if believed_spec is not None:
         f0_model = game.aggregate_impact(model_spec, actions, leader).values
         notes["believed_leader_utility"] = game.utility(model_spec, leader, a0, f0_model)

@@ -54,7 +54,7 @@ class ExperimentConfig:
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     out_dir: str = "out"
     format: str = "csv"              # "csv" | "csv+svg"
-    restarts: int = 4                # budgeted bi-level ascent restarts
+    restarts: int = 4                # budgeted leader starts (at least 4 run)
 
     def __post_init__(self):
         if self.ensemble_size < 1:

@@ -1,24 +1,20 @@
 """Vectorized Monte Carlo pipeline for two-player budgeted ensembles.
 
-The cumulative-distribution study needs thousands of budgeted bi-level solves,
-so this module runs the whole ensemble in lockstep: all instances (and all
-finite-difference candidates) move through the follower's robust waterfilling
-and the leader's projected gradient ascent as stacked arrays.  The follower's
-response is the exact saddle point of its max-min problem, one row per
-instance, from the same kernel as the per-instance solvers
-(`budget.robust_waterfill_batch`: closed-form channels for a fixed water
-level and ball multiplier, bracketed Newton steps in both); it raises
-`IterationLimitError` rather than return an unconverged row.  Results agree
-with the per-instance solvers up to the shared ascent heuristic; a test
-cross-checks the two paths.
+The cumulative-distribution study needs thousands of budgeted bi-level
+solves.  It runs them on the lockstep leader engine (`rsgame.lockstep`),
+the same engine `solve_nse`/`solve_rse1`/`solve_rse2` call with one
+instance: the whole ensemble, every start and every finite-difference or
+trial-step candidate move through the follower's robust waterfill
+(`budget.robust_waterfill_batch`, one exact saddle solve per row) and the
+leader's projected gradient ascent as stacked arrays, two kernel calls per
+ascent step.  `TwoPlayerBatch` is the two-player view of the stacked game.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..budget import (project_box_budget_batch, robust_waterfill_batch,
-                      waterfill_batch)
+from .. import lockstep
 from ..errors import ConfigError
 from . import channels
 
@@ -39,6 +35,20 @@ class TwoPlayerBatch:
     hi1: np.ndarray
     p0: float
     p1: float
+
+    @property
+    def stacked(self):
+        """The `lockstep.StackedGame` with player 0 leading, 1 following."""
+        k = self.h00.shape[1]
+        gains = np.stack([np.stack([self.h00, self.h01], axis=1),
+                          np.stack([self.h10, self.h11], axis=1)], axis=1)
+        lo, hi = (np.array([np.broadcast_to(x0, (k,)), np.broadcast_to(x1, (k,))],
+                           dtype=float)
+                  for x0, x1 in ((self.lo0, self.lo1), (self.hi0, self.hi1)))
+        return lockstep.StackedGame(
+            gains=gains, noise=np.stack([self.sigma0, self.sigma1], axis=1),
+            lo=lo, hi=hi, budget=np.array([self.p0, self.p1], dtype=float),
+            leader=0)
 
 
 def batch_from_config(config, n_instances):
@@ -71,101 +81,27 @@ def follower_response_batch(batch, a0, eps):
 
     The follower sees the impact f = sigma1 + h10 * a0 and plays the
     saddle point of its max-min problem over the eps-ball of observations,
-    one exact solve per row (`budget.robust_waterfill_batch`); eps = 0 is
-    the nominal waterfill.
+    one exact solve per row (`lockstep.respond`); eps = 0 is the nominal
+    waterfill.
     """
-    f = batch.sigma1 + batch.h10 * a0
-    return robust_waterfill_batch(f, batch.h11, batch.lo1, batch.hi1,
-                                  batch.p1, eps)[0]
-
-
-def _leader_value_batch(batch, h00, h01, sigma0, a0, a1):
-    f0 = sigma0 + h01 * a1
-    return np.log1p(h00 * a0 / f0).sum(axis=1)
-
-
-def _value_of(batch, a0, eps):
-    a1 = follower_response_batch(batch, a0, eps)
-    return _leader_value_batch(batch, batch.h00, batch.h01, batch.sigma0,
-                               a0, a1)
+    return lockstep.respond(batch.stacked, a0, eps)[:, 0]
 
 
 def leader_ascent_batch(batch, eps, n_steps=50, seed=0, restarts=3,
                         extra_starts=()):
     """Lockstep projected gradient ascent of all leaders at once.
 
-    Starts are deterministic (waterfill against a quiet and a busy follower,
-    a uniform spread, then fixed Dirichlet draws), so the nominal and robust
-    solves explore paired basins and their local-maximum noise cancels in
-    difference metrics.  `extra_starts` prepends known-good points, e.g. the
-    nominal solution as a continuation start for a small-radius robust solve.
+    Starts are deterministic (`lockstep.leader_starts`: waterfills against
+    a quiet follower, a busy one and one at its ceilings, a uniform spread,
+    then Dirichlet draws from `seed` up to `restarts`; fewer than four
+    restarts keep the four), so the nominal and robust solves explore paired
+    basins and their local-maximum noise cancels in difference metrics.
+    `extra_starts` prepends known-good points, e.g. the nominal solution as
+    a continuation start for a small-radius robust solve.
     """
-    b, k = batch.h00.shape
-    rng = np.random.default_rng(seed)
-    starts = [np.array(s0, dtype=float) for s0 in extra_starts]
-    f_quiet = batch.sigma0 / batch.h00
-    starts.append(waterfill_batch(f_quiet, batch.lo0, batch.hi0,
-                                  np.full(b, batch.p0)))
-    a1_full = waterfill_batch(batch.sigma1 / batch.h11, batch.lo1, batch.hi1,
-                              np.full(b, batch.p1))
-    f_busy = (batch.sigma0 + batch.h01 * a1_full) / batch.h00
-    starts.append(waterfill_batch(f_busy, batch.lo0, batch.hi0,
-                                  np.full(b, batch.p0)))
-    starts.append(project_box_budget_batch(
-        np.full((b, k), batch.p0 / k), batch.lo0, batch.hi0, batch.p0))
-    while len(starts) < restarts:
-        w = rng.dirichlet(np.ones(k), size=b) * batch.p0
-        starts.append(project_box_budget_batch(w, batch.lo0, batch.hi0,
-                                               batch.p0))
-
-    best_a0 = None
-    best_val = np.full(b, -np.inf)
-    h_fd = 1e-6 * max(1.0, batch.p0)
-    for start in starts[:max(restarts, 1) + len(extra_starts)]:
-        a0 = start.copy()
-        val = _value_of(batch, a0, eps)
-        step = np.full(b, 0.25 * batch.p0)
-        for _ in range(n_steps):
-            # batched central differences: 2K candidates per instance
-            pert = np.repeat(a0[:, None, :], 2 * k, axis=1)
-            cols = np.arange(k)
-            pert[:, 2 * cols, cols] += h_fd
-            pert[:, 2 * cols + 1, cols] -= h_fd
-            pert = np.clip(pert, batch.lo0, batch.hi0)
-            flat = pert.reshape(b * 2 * k, k)
-            rep = TwoPlayerBatch(
-                h00=np.repeat(batch.h00, 2 * k, axis=0),
-                h01=np.repeat(batch.h01, 2 * k, axis=0),
-                h10=np.repeat(batch.h10, 2 * k, axis=0),
-                h11=np.repeat(batch.h11, 2 * k, axis=0),
-                sigma0=np.repeat(batch.sigma0, 2 * k, axis=0),
-                sigma1=np.repeat(batch.sigma1, 2 * k, axis=0),
-                lo0=batch.lo0, hi0=batch.hi0, lo1=batch.lo1, hi1=batch.hi1,
-                p0=batch.p0, p1=batch.p1)
-            vals = _value_of(rep, flat, eps).reshape(b, 2 * k)
-            grad = (vals[:, 2 * cols] - vals[:, 2 * cols + 1]) / (2 * h_fd)
-            moved = np.zeros(b, dtype=bool)
-            for _bt in range(10):
-                cand = project_box_budget_batch(a0 + step[:, None] * grad,
-                                                batch.lo0, batch.hi0, batch.p0)
-                cv = _value_of(batch, cand, eps)
-                improved = cv > val + 1e-14
-                a0[improved] = cand[improved]
-                val[improved] = cv[improved]
-                moved |= improved
-                step[improved] *= 1.4
-                step[~improved & ~moved] *= 0.5
-                if improved.all():
-                    break
-            if not moved.any() and float(step.max()) < 1e-10 * batch.p0:
-                break
-        better = val > best_val
-        if best_a0 is None:
-            best_a0, best_val = a0, val
-        else:
-            best_a0[better] = a0[better]
-            best_val[better] = val[better]
-    return best_a0
+    return lockstep.leader_ascent(batch.stacked, eps, restarts=restarts,
+                                  seed=seed, n_steps=n_steps,
+                                  extra_starts=extra_starts).actions
 
 
 @dataclass(frozen=True)
@@ -187,46 +123,42 @@ def empirical_cdf(values):
     return v, frac
 
 
-def _slice_batch(batch, sel):
-    return TwoPlayerBatch(
-        h00=batch.h00[sel], h01=batch.h01[sel], h10=batch.h10[sel],
-        h11=batch.h11[sel], sigma0=batch.sigma0[sel], sigma1=batch.sigma1[sel],
-        lo0=batch.lo0, hi0=batch.hi0, lo1=batch.lo1, hi1=batch.hi1,
-        p0=batch.p0, p1=batch.p1)
-
-
 def monte_carlo_cdf(config, eps=None, n_steps=40, restarts=None,
-                    chunk_size=250):
+                    chunk_size=50):
     """Empirical CDF of the follower's relative utility change under case 1.
 
     Solves the budgeted nominal and case-1 robust games for every ensemble
-    instance in lockstep (in chunks, to keep the stacked arrays a sensible
-    size), forms d1 = (w1_rse1 - w1_nse) / w1_nse, and returns the sorted CDF
-    plus the fraction of instances with d1 > 0.  Instances whose nominal
-    follower utility is numerically zero are excluded and counted; more than
-    5% exclusions fails the run.
+    instance in lockstep, forms d1 = (w1_rse1 - w1_nse) / w1_nse, and
+    returns the sorted CDF plus the fraction of instances with d1 > 0.
+    Instances whose nominal follower utility is numerically zero are
+    excluded and counted; more than 5% exclusions fails the run.
+
+    The instances go through the engine in equal chunks of at most
+    `chunk_size`.  A kernel call holds up to chunk x starts x 2K rows and
+    the kernel keeps some three dozen arrays of that many rows alive, so
+    the chunk bounds the working set: 50 instances with the robust solve's
+    five starts at K = 4 make calls of 2000 rows.
     """
     eps = float(max(e for e in config.eps_grid) if eps is None else eps)
     restarts = config.restarts if restarts is None else restarts
     batch, _ = batch_from_config(config, config.ensemble_size)
+    game = batch.stacked
     d1_parts = []
     excluded = 0
-    for start in range(0, config.ensemble_size, chunk_size):
-        sel = slice(start, min(start + chunk_size, config.ensemble_size))
-        part = _slice_batch(batch, sel)
-        a0_nse = leader_ascent_batch(part, 0.0, n_steps=n_steps,
+    n_chunks = -(-config.ensemble_size // chunk_size)
+    for sel in np.array_split(np.arange(config.ensemble_size), n_chunks):
+        part = game.select(sel)
+        nse = lockstep.leader_ascent(part, 0.0, n_steps=n_steps,
                                      seed=config.rng_seed, restarts=restarts)
-        a1_nse = follower_response_batch(part, a0_nse, 0.0)
         # continuation: the nominal optimum seeds the robust ascent so basin
         # lottery between the paired solves cancels in the difference metric
-        a0_r = leader_ascent_batch(part, eps, n_steps=n_steps,
-                                   seed=config.rng_seed, restarts=restarts,
-                                   extra_starts=(a0_nse,))
-        a1_r = follower_response_batch(part, a0_r, eps)
-        w1_nse = np.log1p(part.h11 * a1_nse
-                          / (part.sigma1 + part.h10 * a0_nse)).sum(axis=1)
-        w1_r = np.log1p(part.h11 * a1_r
-                        / (part.sigma1 + part.h10 * a0_r)).sum(axis=1)
+        rob = lockstep.leader_ascent(part, eps, n_steps=n_steps,
+                                     seed=config.rng_seed, restarts=restarts,
+                                     extra_starts=(nse.actions,))
+        h10, h11, sigma1 = batch.h10[sel], batch.h11[sel], batch.sigma1[sel]
+        w1_nse, w1_r = (np.log1p(h11 * res.followers[:, 0]
+                                 / (sigma1 + h10 * res.actions)).sum(axis=1)
+                        for res in (nse, rob))
         ok = np.abs(w1_nse) > 1e-12
         excluded += int((~ok).sum())
         d1_parts.append((w1_r[ok] - w1_nse[ok]) / w1_nse[ok])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import analysis, equilibria, game
+from .. import analysis, equilibria, game, robust
 from ..errors import InvalidSpecError
 from ..budget import project_box_budget
 from ..numerics import maximize_scalar
@@ -129,14 +129,14 @@ def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
     rng = np.random.default_rng(seed)
     lo, hi = spec.action_min, spec.action_max
     cache = {"profile": spec.action_min.copy()}
+    unc = robust.coerce_uncertainty(spec, eps=eps)
 
     def social_of_leaders(actions_leaders):
         seed_prof = cache["profile"].copy()
         for i, n in enumerate(leaders):
             seed_prof[n] = actions_leaders[i]
-        nash = equilibria.followers_nash(spec, seed_prof, eps=eps,
-                                         tol=min(tol * 1e-2, 1e-11))
-        prof = nash.profile.actions
+        prof, _, _ = equilibria._followers_fixed_point(
+            spec, seed_prof, unc, min(tol * 1e-2, 1e-11))
         cache["profile"] = prof.copy()
         total = 0.0
         for n in leaders:

@@ -1,0 +1,291 @@
+"""Lockstep leader engine of the budgeted single-leader game.
+
+A `StackedGame` holds B instances of one budgeted game shape: gains
+(B, N, N, K), noise (B, N, K), the players' boxes and budgets, and the index
+of the one leader; every other player follows.  The followers' response to
+a leader action is their Nash equilibrium, each follower playing its robust
+waterfill against its aggregate impact (`budget.robust_waterfill_batch`):
+with one follower that is one kernel call over all rows, with several a
+Jacobi sweep that makes one kernel call over rows x followers per sweep.
+
+`leader_ascent` is a projected gradient ascent of every leader from several
+starts, all (instance, start) rows in lockstep.  Each step makes two
+response calls: one for the 2K central-difference candidates of every live
+row, then one for a ladder of trial steps step * 2^-j, j = 0..LADDER-1,
+along each row's gradient.  A row moves to its best improving rung, and its
+next ladder starts at four times that rung's step; a row with no improving
+rung shrinks its step below the ladder, and it freezes once the step is
+below 1e-10 of the leader's budget.
+The second call needs the gradient, so the two cannot be merged.  The
+ascent is a heuristic (the followers' reaction makes the leader's objective
+only piecewise smooth); the starts guard against local maxima.
+
+Every operation is row by row, so a row's result does not depend on the
+other rows of its call: one instance solved alone equals its row of an
+ensemble solve, bit for bit, when both use the same starts.
+"""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .budget import (project_box_budget_batch, robust_waterfill_batch,
+                     waterfill_batch)
+from .errors import IterationLimitError
+
+# trial steps per ascent step, each half the one before: after a move the
+# ladder spans two doublings above the accepted step and three halvings below
+LADDER = 6
+# central-difference step and freezing step, relative to the leader's budget
+_FD_STEP = 1e-6
+_FREEZE = 1e-10
+# followers' Jacobi sweep: its residual and sweep limit (as `followers_nash`
+# in the leader's search)
+_NASH_TOL = 1e-11
+_NASH_SWEEPS = 500
+
+
+@dataclass(frozen=True)
+class StackedGame:
+    """B instances of a budgeted game with one leader, stacked.
+
+    gains[b, n, m, k] is the gain from player m into player n's impact in
+    instance b (the diagonal holds the direct gains); lo and hi are the
+    (N, K) boxes and budget the (N,) budgets, shared by every instance.
+    """
+
+    gains: np.ndarray   # (B, N, N, K)
+    noise: np.ndarray   # (B, N, K)
+    lo: np.ndarray      # (N, K)
+    hi: np.ndarray      # (N, K)
+    budget: np.ndarray  # (N,)
+    leader: int
+
+    @classmethod
+    def from_spec(cls, spec, leader):
+        """The one-instance stack of a budgeted `GameSpec`."""
+        return cls(gains=np.asarray(spec.cross_gain)[None],
+                   noise=np.asarray(spec.noise)[None], lo=spec.action_min,
+                   hi=spec.action_max, budget=spec.utility_model.budget,
+                   leader=leader)
+
+    @property
+    def followers(self):
+        return [n for n in range(self.gains.shape[1]) if n != self.leader]
+
+    def select(self, rows):
+        """The stack of the instances `rows` (an index or a slice)."""
+        return replace(self, gains=self.gains[rows], noise=self.noise[rows])
+
+
+@dataclass(frozen=True)
+class Ascent:
+    """Best leader action per instance and what the ascent spent on it."""
+
+    actions: np.ndarray       # (B, K) leader
+    followers: np.ndarray     # (B, Nf, K) the followers' response to it
+    values: np.ndarray        # (B,) leader utility there
+    start_values: np.ndarray  # (B, S) leader utility reached from each start
+    calls: int                # followers' response kernel calls
+    steps: int                # lockstep ascent steps
+
+    @property
+    def start_gap(self):
+        """Per instance, best minus runner-up start value (0 with one start)."""
+        if self.start_values.shape[1] < 2:
+            return np.zeros(self.start_values.shape[0])
+        top = np.sort(self.start_values, axis=1)
+        return top[:, -1] - top[:, -2]
+
+
+class _Response:
+    """The followers' equilibrium and the leader's utility, row by row.
+
+    A row is an instance index and a leader action; the followers' arrays
+    are gathered per instance once.  `calls` counts kernel calls.
+    """
+
+    def __init__(self, game, eps):
+        lead, fol = game.leader, game.followers
+        g = np.asarray(game.gains, dtype=float)
+        self.h = g[:, fol, fol, :]                    # (B, Nf, K)
+        self.from_leader = g[:, fol, lead, :]
+        cross = g[:, fol][:, :, fol].copy()           # (B, Nf, Nf, K)
+        idx = np.arange(len(fol))
+        cross[:, idx, idx, :] = 0.0
+        self.cross = cross
+        self.noise = game.noise[:, fol]
+        self.lo, self.hi = game.lo[fol], game.hi[fol]
+        self.budget = np.asarray(game.budget, dtype=float)[fol]
+        self.eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(fol),))
+        self.h0 = g[:, lead, lead, :]
+        self.to_leader = g[:, lead, fol, :]           # (B, Nf, K)
+        self.noise0 = game.noise[:, lead]
+        self.calls = 0
+
+    def _kernel(self, f, inst):
+        """Every follower's robust waterfill against impacts f (R, Nf, K)."""
+        self.calls += 1
+        r, nf, k = f.shape
+        shape = (r, nf, k)
+        alloc, _ = robust_waterfill_batch(
+            f.reshape(-1, k), self.h[inst].reshape(-1, k),
+            np.broadcast_to(self.lo, shape).reshape(-1, k),
+            np.broadcast_to(self.hi, shape).reshape(-1, k),
+            np.broadcast_to(self.budget, (r, nf)).ravel(),
+            np.broadcast_to(self.eps, (r, nf)).ravel())
+        return alloc.reshape(shape)
+
+    def followers(self, inst, a0, seed):
+        """Followers' equilibrium against leader actions a0 (R, K).
+
+        One follower responds in one kernel call.  Several run the Jacobi
+        iteration of `equilibria.followers_nash` from `seed` (R, Nf, K), row
+        by row: a row stops once every follower is within `_NASH_TOL` of its
+        response and returns the responses; a sweep whose residual grew
+        halves the row's damping, down to 1/4.
+        """
+        base = self.noise[inst] + self.from_leader[inst] * a0[:, None, :]
+        if base.shape[1] <= 1:
+            return self._kernel(base, inst) if base.shape[1] else base
+        out = np.empty_like(base)
+        a = np.array(seed, dtype=float)
+        rows = np.arange(a.shape[0])
+        damping = np.ones(rows.size)
+        prev = np.full(rows.size, np.inf)
+        for _ in range(_NASH_SWEEPS):
+            f = base[rows] + np.einsum("rnmk,rmk->rnk",
+                                       self.cross[inst[rows]], a[rows])
+            resp = self._kernel(f, inst[rows])
+            res = np.abs(resp - a[rows]).max(axis=(1, 2))
+            done = res < _NASH_TOL
+            out[rows[done]] = resp[done]
+            live = ~done
+            rows, resp, res = rows[live], resp[live], res[live]
+            if rows.size == 0:
+                return out
+            damping = np.where(res > prev[live], np.maximum(
+                0.25, 0.5 * damping[live]), damping[live])
+            prev = res
+            d = damping[:, None, None]
+            a[rows] = (1.0 - d) * a[rows] + d * resp
+        raise IterationLimitError(
+            f"followers' Nash iteration did not converge in {_NASH_SWEEPS} "
+            "sweeps (coupling may violate the P-matrix uniqueness condition)",
+            last_iterate=a, residual=float(res.max()))
+
+    def evaluate(self, inst, a0, seed):
+        """Leader utilities and the followers' actions for rows (inst, a0)."""
+        a = self.followers(inst, a0, seed)
+        f0 = self.noise0[inst] + (self.to_leader[inst] * a).sum(axis=1)
+        return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), a
+
+
+def leader_starts(game, restarts=4, seed=0):
+    """Starting leader actions, (B, S, K).
+
+    Four deterministic starts: the leader's waterfill against the others at
+    their floors (quiet), against each follower's own waterfill (busy),
+    against the others at their ceilings (an infinite ceiling counts as 1),
+    and the uniform spread.  Then Dirichlet draws from `seed` up to
+    `restarts` starts; `restarts` below 4 keeps the four.
+    """
+    lead, fol = game.leader, game.followers
+    g, noise = np.asarray(game.gains, dtype=float), game.noise
+    b, _, _, k = g.shape
+    lo, hi, p = game.lo[lead], game.hi[lead], float(game.budget[lead])
+    others = np.array(game.lo, dtype=float)
+
+    def waterfill(n, actions):
+        """Player n's waterfill against the others playing `actions`."""
+        cross = g[:, n].copy()
+        cross[:, n] = 0.0
+        f = noise[:, n] + (cross * actions).sum(axis=1)
+        h = g[:, n, n]
+        with np.errstate(divide="ignore"):
+            q = np.where(h > 0, f / np.where(h > 0, h, 1.0), np.inf)
+        return waterfill_batch(q, game.lo[n], game.hi[n], game.budget[n])
+
+    busy = np.broadcast_to(others, (b,) + others.shape).copy()
+    for n in fol:
+        busy[:, n] = waterfill(n, others)
+    ceilings = np.where(np.isinf(game.hi), 1.0, game.hi)
+    uniform = project_box_budget_batch(np.full((1, k), p / k), lo, hi, p)
+    starts = [waterfill(lead, others), waterfill(lead, busy),
+              waterfill(lead, ceilings), np.repeat(uniform, b, axis=0)]
+    rng = np.random.default_rng(seed)
+    while len(starts) < restarts:
+        w = rng.dirichlet(np.ones(k), size=b) * p
+        starts.append(project_box_budget_batch(w, lo, hi, p))
+    return np.stack(starts, axis=1)
+
+
+def respond(game, a0, eps):
+    """The followers' response (B, Nf, K) to leader actions a0 (B, K)."""
+    resp = _Response(game, eps)
+    b = a0.shape[0]
+    seed = np.broadcast_to(game.lo[game.followers], (b,) + resp.lo.shape)
+    return resp.followers(np.arange(b), np.asarray(a0, dtype=float), seed)
+
+
+def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
+                  extra_starts=()):
+    """Lockstep projected gradient ascent of every instance's leader.
+
+    `eps` is the followers' observation radius, a scalar or one per
+    follower.  The starts are `extra_starts` (each (B, K), e.g. a nominal
+    solution continuing into a robust solve), then those of `leader_starts`;
+    each runs at most `n_steps` steps.  Per instance the best start wins,
+    the earlier one on a tie.
+    """
+    lead = game.leader
+    lo, hi, p = game.lo[lead], game.hi[lead], float(game.budget[lead])
+    resp = _Response(game, eps)
+    starts = leader_starts(game, restarts, seed)
+    if extra_starts:
+        extra = np.stack([np.asarray(s, dtype=float) for s in extra_starts], 1)
+        starts = np.concatenate([extra, starts], axis=1)
+    b, s, k = starts.shape
+    inst = np.repeat(np.arange(b), s)
+    a0 = starts.reshape(b * s, k)
+    floors = np.broadcast_to(resp.lo, (b * s,) + resp.lo.shape)
+    val, af = resp.evaluate(inst, a0, floors)
+    step = np.full(b * s, 0.25 * p)
+    h_fd = _FD_STEP * max(1.0, p)
+    cols = np.arange(k)
+    rungs = 0.5 ** np.arange(LADDER)
+    live = np.arange(b * s)
+    steps = 0
+    while live.size and steps < n_steps:
+        steps += 1
+        n, x = live.size, a0[live]
+        # central differences: 2K candidates per row, in one call
+        pert = np.repeat(x[:, None, :], 2 * k, axis=1)
+        pert[:, 2 * cols, cols] += h_fd
+        pert[:, 2 * cols + 1, cols] -= h_fd
+        rep = np.repeat(live, 2 * k)
+        v, _ = resp.evaluate(inst[rep], np.clip(pert, lo, hi).reshape(-1, k),
+                             af[rep])
+        v = v.reshape(n, 2 * k)
+        grad = (v[:, 2 * cols] - v[:, 2 * cols + 1]) / (2.0 * h_fd)
+        # the ladder of trial steps along the gradient, in one call
+        trial = step[live][:, None] * rungs
+        cand = project_box_budget_batch(
+            (x[:, None, :] + trial[:, :, None] * grad[:, None, :]).reshape(-1, k),
+            lo, hi, p)
+        rep = np.repeat(live, LADDER)
+        cv, cf = resp.evaluate(inst[rep], cand, af[rep])
+        cv = cv.reshape(n, LADDER)
+        gain = np.where(cv > val[live][:, None] + 1e-14, cv, -np.inf)
+        rung = gain.argmax(axis=1)
+        moved = np.isfinite(gain[np.arange(n), rung])
+        pick = (np.arange(n) * LADDER + rung)[moved]
+        rows = live[moved]
+        a0[rows], val[rows], af[rows] = cand[pick], cv.ravel()[pick], cf[pick]
+        step[rows] = 4.0 * trial[moved, rung[moved]]
+        step[live[~moved]] *= 0.5 ** LADDER
+        live = live[step[live] >= _FREEZE * p]
+    values = val.reshape(b, s)
+    best = np.arange(b) * s + values.argmax(axis=1)
+    return Ascent(actions=a0[best], followers=af[best], values=val[best],
+                  start_values=values, calls=resp.calls, steps=steps)

@@ -206,15 +206,19 @@ def _cubic_roots(f, u, mu, s):
 
     The cubic is convex and increasing for s >= 0, so Newton converges from
     any nonnegative start, monotonically after its first step; once a step
-    is below 1e-8 of f + s the next error is below rounding.
+    is below 1e-8 of f + s the next error is below rounding.  Each root
+    stops at its own such step, so a root does not depend on the others
+    solved with it.
     """
     target = mu * u
+    live = np.ones(np.shape(s), dtype=bool)
     for _ in range(100):
         p = f + s
         q = p + u
         step = (s * p * q - target) / (p * q + s * (p + q))
-        s = s - step
-        if (abs(step) <= 1e-8 * p).all():
+        s = np.where(live, s - step, s)
+        live &= abs(step) > 1e-8 * p
+        if not live.any():
             break
     return s
 

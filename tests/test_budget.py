@@ -140,25 +140,30 @@ def boxes(draw, infeasible_budgets=True):
 
 
 class TestWaterfillProperties:
-    @given(boxes())
-    def test_kkt_spend_and_box(self, box):
+    @given(boxes(), st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_kkt_spend_and_box(self, box, dead):
         q, lo, hi, budget = box
         k = q.size
-        spec = rs.make_spec(direct=np.ones((2, k)), cross=np.zeros((2, 2, k)),
+        # a channel with zero direct gain (infinite q) is never worth power
+        usable = ~np.array(dead[:k])
+        spec = rs.make_spec(direct=np.vstack([np.ones(k), usable * 1.0]),
+                            cross=np.zeros((2, 2, k)),
                             noise=0.1, leaders=(0,),
                             action_min=np.vstack([np.zeros(k), lo]),
                             action_max=np.vstack([np.ones(k), hi]),
                             budget=[1.0, budget])
         a = rs.waterfill(spec, 1, q, budget)
         assert np.all(a >= lo) and np.all(a <= hi)
-        spend = max(lo.sum(), min(budget, hi.sum()))
+        assert np.all(a[~usable] == lo[~usable])
+        reach = hi[usable].sum() + lo[~usable].sum()
+        spend = max(lo.sum(), min(budget, reach))
         assert a.sum() == pytest.approx(spend, abs=1e-9)
         if lo.sum() >= budget:
             return
         # active unsaturated channels share one level w = a + q; a channel
         # at its floor sits at or above w, one at its ceiling at or below
         level = a + q
-        above_floor, below_ceiling = a > lo, a < hi
+        above_floor, below_ceiling = usable & (a > lo), usable & (a < hi)
         if above_floor.any() and below_ceiling.any():
             assert level[above_floor].max() <= level[below_ceiling].min() + 1e-9
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import rsgame as rs
+from rsgame import equilibria, lockstep, robust
 from rsgame.errors import (DegenerateModelError, InapplicableFormulaError,
                            InvalidSpecError, IterationLimitError)
 from rsgame.equilibria import _BOUNDARY_EPS
+from rsgame.harness import ExperimentConfig, ScenarioSpec, channels
 
-from conftest import build_e1_spec, interior_instance, random_priced_two_player
+from conftest import (build_e1_spec, interior_instance,
+                      random_priced_multi_follower, random_priced_two_player)
 from oracles import PricedTwoPlayer1D, e1_oracle, grid_argmax_vec
 
 
@@ -134,6 +137,24 @@ class TestFollowersNash:
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual > 0
 
+    def test_fixed_point_helper_equals_the_result(self):
+        # the leader searches call the iteration without building a result
+        rng = np.random.default_rng(41)
+        for i in range(24):
+            k = 2 if i % 3 == 0 else 1
+            spec = (random_priced_multi_follower(rng, k=k) if i % 2
+                    else random_priced_two_player(rng, k=k))
+            profile = np.zeros((spec.n_players, k))
+            profile[0] = rng.uniform(0.0, 4.0, size=k)
+            for eps in ((0.0,) if k > 1 else (0.0, 0.03)):
+                unc = robust.coerce_uncertainty(spec, eps=eps)
+                actions, sweeps, residual = equilibria._followers_fixed_point(
+                    spec, profile, unc, 1e-11)
+                full = rs.followers_nash(spec, profile, eps=eps, tol=1e-11)
+                assert np.array_equal(actions, full.profile.actions)
+                assert sweeps == full.diagnostics.iterations
+                assert residual == full.diagnostics.residual
+
 
 class TestSolveNse:
     def test_worked_instance_against_grid_oracle(self, e1_spec):
@@ -190,6 +211,48 @@ class TestSolveNse:
     def test_social_equals_sum(self, e1_spec):
         res = rs.solve_nse(e1_spec)
         assert res.social == pytest.approx(float(res.utilities.sum()), abs=1e-12)
+
+
+def demo05_spec(instance):
+    """Instance `instance` of demo_05's s2 ensemble (budgeted, K = 4)."""
+    config = ExperimentConfig(
+        n_players=2, n_dims=4, leaders=(0,),
+        utility={"kind": "budgeted", "budget": [10.0, 10.0]},
+        action_max=10.0, noise=0.01, channel_model="four_ray", rng_seed=1,
+        ensemble_size=instance + 1, eps_grid=(0.0, 0.05),
+        scenario=ScenarioSpec(filter="s2"), restarts=3)
+    return config.to_spec(channels.generate_channels(config, instance))
+
+
+class TestBudgetedLeader:
+    def test_ceiling_start_reaches_the_optimum(self):
+        # the leader's optimum of this instance lies in the basin of the
+        # start against the follower at its ceilings; from the other starts
+        # the ascent stops at 10.7176
+        res = rs.solve_nse(demo05_spec(1), restarts=3, seed=1)
+        assert res.utilities[0] >= 11.0617390 - 1e-9
+        notes = res.diagnostics.notes
+        assert notes["engine_calls"] >= 2 * notes["ascent_steps"] > 0
+        assert notes["start_gap"] >= 0.0
+
+    def test_three_player_followers_best_respond(self):
+        rng = np.random.default_rng(43)
+        k = 3
+        cross = rng.uniform(0.02, 0.1, size=(3, 3, k))
+        cross[1:, 0] = rng.uniform(0.2, 0.6, size=(2, k))
+        spec = rs.make_spec(direct=rng.uniform(0.8, 1.6, size=(3, k)),
+                            cross=cross, noise=0.1, leaders=(0,),
+                            action_max=4.0, budget=[3.0, 2.0, 2.5])
+        stacked = lockstep.StackedGame.from_spec(spec, 0)
+        for eps, res in ((0.0, rs.solve_nse(spec, restarts=4)),
+                         (0.05, rs.solve_rse1(spec, 0.05, restarts=4))):
+            a = res.profile.actions
+            for n in spec.followers:
+                br = rs.follower_best_response(spec, n, a, eps)
+                assert np.max(np.abs(br - a[n])) <= 1e-9
+            # the engine's Jacobi sweep reaches the same equilibrium
+            engine = lockstep.respond(stacked, a[None, 0], eps)[0]
+            assert np.max(np.abs(engine - a[1:])) <= 1e-9
 
 
 class TestLeaderCrushesFollower:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rsgame as rs
+from rsgame import lockstep
 from rsgame.errors import ConfigError, IterationLimitError, SchemaVersionError
 from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
                             channels, cooperative_leaders_nse,
@@ -292,18 +293,31 @@ class TestMonteCarlo:
         assert cdf.fractions[0] > 0
         assert cdf.fractions[-1] == pytest.approx(1.0)
 
-    def test_batched_leader_matches_generic_solver(self):
-        config = mc_config(ensemble_size=3)
-        batch, gains = batch_from_config(config, 3)
-        a0 = leader_ascent_batch(batch, 0.0, seed=config.rng_seed, restarts=2)
-        for i in range(3):
-            spec = config.to_spec(gains[i])
-            nse = rs.solve_nse(spec, restarts=2)
-            mine = float(np.log1p(
-                batch.h00[i] * a0[i]
-                / (batch.sigma0[i] + batch.h01[i]
-                   * follower_response_batch(batch, a0, 0.0)[i])).sum())
-            assert mine == pytest.approx(nse.utilities[0], rel=1e-6)
+    def test_one_instance_call_equals_its_row(self):
+        # with the deterministic starts a row's ascent is its own: an
+        # instance alone, through the engine or through `solve_nse`, gives
+        # its row of the ensemble call bit for bit; follower floors and
+        # ceilings put the follower's channels on the kernel's cubic pieces
+        config = mc_config(ensemble_size=5)
+        batch, gains = batch_from_config(config, 5)
+        boxed = dataclasses.replace(
+            batch.stacked, lo=np.array([np.zeros(4), np.full(4, 0.2)]),
+            hi=np.array([np.full(4, 10.0), np.full(4, 4.0)]))
+        for game in (batch.stacked, boxed):
+            for eps in (0.0, 0.5):
+                full = lockstep.leader_ascent(game, eps, restarts=4)
+                for i in range(5):
+                    one = lockstep.leader_ascent(game.select([i]), eps,
+                                                 restarts=4)
+                    for field in ("actions", "followers", "values",
+                                  "start_values"):
+                        assert np.array_equal(getattr(one, field)[0],
+                                              getattr(full, field)[i])
+                    if game is boxed or eps > 0.0:
+                        continue
+                    nse = rs.solve_nse(config.to_spec(gains[i]), restarts=4)
+                    assert np.array_equal(nse.profile.actions[0],
+                                          full.actions[i])
 
     def test_overlap_shrinks_under_robustness_in_tendency(self):
         config = mc_config(ensemble_size=16, n_dims=6)

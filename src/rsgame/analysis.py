@@ -18,6 +18,11 @@ import numpy as np
 from . import equilibria, game
 from .errors import SOLVER_ERRORS, InvalidSpecError, UndefinedBaselineError
 
+_THETA_HI = 10.0       # R1: both SINRs above
+_THETA_LO = 0.1        # R2: both SINRs below
+_THETA_PROX = 0.2      # R3: relative gap of the two impacts below
+ORDERING_SLACK = 1e-9  # utility change an ordering forgives
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -115,13 +120,12 @@ def check_conditions(spec, at):
                            c5=c5, c6=c6, c7=c7, c8=c8, all_k=all_k)
 
 
-def classify_regime(spec, profile, theta_hi=10.0, theta_lo=0.1, theta_prox=0.2):
+def classify_regime(spec, profile):
     """Label each dimension R1/R2/R3/Mixed by the two players' SINRs.
 
-    R1: both SINRs above theta_hi; R2: both below theta_lo; R3: the two
-    induced impacts are within theta_prox relative gap; Mixed otherwise.
-    The thresholds are order-of-magnitude stand-ins for the asymptotic
-    regimes, so they are configurable.
+    R1: both SINRs above `_THETA_HI`; R2: both below `_THETA_LO`; R3: the two
+    induced impacts are within `_THETA_PROX` relative gap; Mixed otherwise.
+    The thresholds are order-of-magnitude stand-ins for asymptotic regimes.
     """
     if spec.n_players != 2:
         raise InvalidSpecError("regime classification is for two-player games")
@@ -140,15 +144,15 @@ def classify_regime(spec, profile, theta_hi=10.0, theta_lo=0.1, theta_prox=0.2):
     labels, t1, t2 = [], [], []
     for k in range(spec.n_dims):
         gap = abs(f[fol, k] - f[leader, k]) / max(f[fol, k], f[leader, k])
-        if sinr[0, k] > theta_hi and sinr[1, k] > theta_hi:
+        if sinr[0, k] > _THETA_HI and sinr[1, k] > _THETA_HI:
             labels.append("R1")
             t1.append(bool(h10[k] < h01[k]))
             t2.append(bool(h10[k] > h01[k]))
-        elif sinr[0, k] < theta_lo and sinr[1, k] < theta_lo:
+        elif sinr[0, k] < _THETA_LO and sinr[1, k] < _THETA_LO:
             labels.append("R2")
             t1.append(bool(h00[k] > h01[k] and h11[k] < h10[k]))
             t2.append(bool(h00[k] < h01[k] and h11[k] > h10[k]))
-        elif gap < theta_prox:
+        elif gap < _THETA_PROX:
             labels.append("R3")
             t1.append(bool(h00[k] * h10[k] > h11[k] * h10[k]))
             t2.append(bool(h00[k] * h10[k] < h11[k] * h10[k]))
@@ -200,12 +204,13 @@ class OrderingReport:
         return all(r.leader_ok and r.follower_ok for r in rows)
 
 
-def ordering_report(spec, eps_grid, delta_grid, tol=1e-9, ordering_slack=1e-9):
+def ordering_report(spec, eps_grid, delta_grid):
     """Solve the nominal and robust games over both grids and grade orderings.
 
     Case-1 rows check leader-up / follower-down vs the nominal equilibrium,
-    case-2 rows the reverse.  A solver error (`errors.SOLVER_ERRORS`) marks its
-    row inconclusive; any other exception propagates.
+    case-2 rows the reverse, each up to `ORDERING_SLACK`.  A solver error
+    (`errors.SOLVER_ERRORS`) marks its row inconclusive; any other exception
+    propagates.
     """
     eps_grid = [float(e) for e in eps_grid]
     delta_grid = [float(d) for d in delta_grid]
@@ -213,7 +218,7 @@ def ordering_report(spec, eps_grid, delta_grid, tol=1e-9, ordering_slack=1e-9):
         raise InvalidSpecError("grids must be ascending and start at 0")
     leader = spec.leaders[0]
     fol = spec.followers[0]
-    nse = equilibria.solve_nse(spec, tol=tol)
+    nse = equilibria.solve_nse(spec)
     conditions = check_conditions(spec, nse)
 
     def grade(radius, solve, leader_up):
@@ -225,25 +230,25 @@ def ordering_report(spec, eps_grid, delta_grid, tol=1e-9, ordering_slack=1e-9):
         dl = res.utilities[leader] - nse.utilities[leader]
         df = res.utilities[fol] - nse.utilities[fol]
         if leader_up:
-            ok_l, ok_f = dl >= -ordering_slack, df <= ordering_slack
+            ok_l, ok_f = dl >= -ORDERING_SLACK, df <= ORDERING_SLACK
         else:
-            ok_l, ok_f = dl <= ordering_slack, df >= -ordering_slack
+            ok_l, ok_f = dl <= ORDERING_SLACK, df >= -ORDERING_SLACK
         return OrderingRow(radius=radius, result=res, d=d,
                            leader_ok=bool(ok_l), follower_ok=bool(ok_f))
 
-    case1 = tuple(grade(e, lambda e_: equilibria.solve_rse1(spec, e_, tol=tol), True)
+    case1 = tuple(grade(e, lambda e_: equilibria.solve_rse1(spec, e_), True)
                   for e in eps_grid if e > 0)
-    case2 = tuple(grade(dd, lambda d_: equilibria.solve_rse2(spec, 0.0, d_, tol=tol), False)
+    case2 = tuple(grade(dd, lambda d_: equilibria.solve_rse2(spec, 0.0, d_), False)
                   for dd in delta_grid if dd > 0)
 
     prop3_ok = True
     eps_nz = [e for e in eps_grid if e > 0]
     delta_nz = [d for d in delta_grid if d > 0]
     if eps_nz and delta_nz:
-        rse1 = equilibria.solve_rse1(spec, eps_nz[0], tol=tol)
-        rse2 = equilibria.solve_rse2(spec, eps_nz[0], delta_nz[0], tol=tol)
+        rse1 = equilibria.solve_rse1(spec, eps_nz[0])
+        rse2 = equilibria.solve_rse2(spec, eps_nz[0], delta_nz[0])
         prop3_ok = bool(rse2.utilities[leader]
-                        <= rse1.utilities[leader] + ordering_slack)
+                        <= rse1.utilities[leader] + ORDERING_SLACK)
 
     def matched(rows, predicted):
         if not predicted or not rows or rows[0].error is not None:

@@ -25,6 +25,9 @@ import numpy as np
 from . import game, robust
 from .errors import InvalidSpecError, IterationLimitError
 
+_SADDLE_TOL = 1e-12   # the robust waterfill's KKT residual
+_SADDLE_ITERS = 200   # and its iterate limit
+
 
 def _quality(spec, player, f):
     h = spec.direct_gain(player)
@@ -121,15 +124,13 @@ def project_box_budget(z, lo, hi, budget):
     return project_box_budget_batch(z[None, :], lo, hi, budget)[0]
 
 
-def robust_waterfill(spec, player, nominal_impact, eps, budget, *, tol=1e-9,
-                     max_iter=200):
+def robust_waterfill(spec, player, nominal_impact, eps, budget):
     """Max-min robust waterfill of one player: one row of `robust_waterfill_batch`.
 
     The allocation that maximizes the worst-case utility over the eps-ball
     of observations around the nominal impact: the waterfill against the
-    worst observation, which is in turn the worst case against it.  `tol`
-    bounds the KKT residual (budget spent and ball radius met); raises
-    `IterationLimitError` after `max_iter` iterates.
+    worst observation, which is in turn the worst case against it.  With
+    eps = 0 it is the nominal waterfill, bit for bit.
     """
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
@@ -139,12 +140,11 @@ def robust_waterfill(spec, player, nominal_impact, eps, budget, *, tol=1e-9,
     game._check_impact(f)
     alloc, _ = robust_waterfill_batch(
         f[None, :], spec.direct_gain(player)[None, :], spec.action_min[player],
-        spec.action_max[player], budget, eps, tol=tol, max_iter=max_iter)
+        spec.action_max[player], budget, eps)
     return alloc[0]
 
 
-def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
-                           max_iter=200):
+def robust_waterfill_batch(f, h, lo, hi, budget, eps):
     """Saddle points of the max-min robust waterfill, one per row.
 
     f (nominal impacts) and h (direct gains) are (B, K); lo and hi broadcast
@@ -170,11 +170,11 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
     the step before the last, bisects the bracket instead.  The start is
     the nominal waterfill and mu = eps / |r|, r = u / (f (f + u)) at f.
 
-    A row is done once |sum(a) - target| and ||s| - eps| are below `tol`,
-    raised to 32 roundings of the values involved where it asks for less,
-    or once its bracket has closed to rounding.  Raises `IterationLimitError`
-    with the batch's last allocations after `max_iter` iterates.  Rows with
-    eps = 0 or nothing at stake (every h * a = 0) get the nominal waterfill.
+    A row is done once |sum(a) - target| and ||s| - eps| are below
+    `_SADDLE_TOL` (raised to 32 roundings of the values involved), or once
+    its bracket has closed to rounding.  Raises `IterationLimitError` with
+    the batch's last allocations after `_SADDLE_ITERS` iterates.  Rows with
+    eps = 0 or nothing at stake get the nominal waterfill, bit for bit.
     """
     f = np.asarray(f, dtype=float)
     b, k = f.shape
@@ -210,8 +210,8 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
     st = _Saddle(
         rows, f[take], hs[take], usable[take], lo[take], hi[take],
         target=alloc[take].sum(axis=1), eps=eps[take], w_nom=w_nom[take],
-        reach=reach[take], log_mu=np.log(eps[take] / norm_r[take]), tol=tol)
-    for _ in range(max_iter):
+        reach=reach[take], log_mu=np.log(eps[take] / norm_r[take]))
+    for _ in range(_SADDLE_ITERS):
         st.evaluate()
         done = st.converged()
         if done.any():
@@ -223,7 +223,7 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, *, tol=1e-12,
         st.step()
     alloc[st.rows] = st.a
     raise IterationLimitError(
-        f"robust waterfilling did not converge in {max_iter} iterations",
+        f"robust waterfilling did not converge in {_SADDLE_ITERS} iterations",
         last_iterate=alloc, residual=float(np.max(np.maximum(
             np.abs(st.res_w), np.abs(st.res_mu)))))
 
@@ -237,7 +237,7 @@ class _Saddle:
     brackets and last steps, and what `evaluate` finds there."""
 
     def __init__(self, rows, f, h, usable, lo, hi, *, target, eps, w_nom,
-                 reach, log_mu, tol):
+                 reach, log_mu):
         self.rows, self.f, self.h, self.lo, self.hi = rows, f, h, lo, hi
         self.inv_h = 1.0 / h
         # a channel with h w <= h lo + f is on its floor whatever t >= f
@@ -247,8 +247,8 @@ class _Saddle:
         self.u_hi = np.where(finite, h * np.where(finite, hi, 0.0), 0.0)
         self.target, self.eps, self.log_eps = target, eps, np.log(eps)
         self.w_nom, self.reach = w_nom, reach
-        self.tol_s = np.maximum(tol, robust._ROUNDING * (f.max(axis=1) + eps))
-        self.tol = tol
+        self.tol_s = np.maximum(_SADDLE_TOL,
+                                robust._ROUNDING * (f.max(axis=1) + eps))
         n = rows.size
         self.log_mu = log_mu
         self.mu_lo, self.mu_hi = np.full(n, -np.inf), np.full(n, np.inf)
@@ -307,7 +307,7 @@ class _Saddle:
         absw = np.abs(self.w)
         self.on_budget = (
             (np.abs(self.res_w) <= np.maximum(
-                self.tol, rounding * np.maximum(self.target, absw)))
+                _SADDLE_TOL, rounding * np.maximum(self.target, absw)))
             | (self.w_hi - self.w_lo <= rounding * absw))
         return self.on_budget & (
             (np.abs(self.res_mu) <= self.tol_s)

@@ -32,6 +32,10 @@ from .errors import (CombinatorialLimitError, DegenerateModelError,
 from .numerics import box_corners, latin_hypercube, maximize_scalar
 
 _BOUNDARY_EPS = 1e-9
+_BR_TOL = 1e-13     # the priced robust best response's fixed-point residual
+_BR_ITERS = 300     # and its iterate limit
+_NASH_TOL = 1e-12   # followers' Nash residual, also in the priced leader search
+_LEADER_TOL = 1e-9  # leader action shift that ends that search's sweeps
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,13 @@ def realized_utilities(spec, actions):
     return (np.log1p(h * a / impacts) - price[:, None] * a).sum(axis=1)
 
 
-def _boundary_flags(spec, actions):
-    near_min = actions - spec.action_min < _BOUNDARY_EPS
-    with np.errstate(invalid="ignore"):
-        near_max = spec.action_max - actions < _BOUNDARY_EPS
-    return near_min | near_max
-
-
 def _make_result(kind, spec, actions, iterations, residual, notes=None):
     utils = realized_utilities(spec, actions)
+    with np.errstate(invalid="ignore"):
+        boundary = ((actions - spec.action_min < _BOUNDARY_EPS)
+                    | (spec.action_max - actions < _BOUNDARY_EPS))
     diag = Diagnostics(iterations=iterations, residual=residual,
-                       boundary=_boundary_flags(spec, actions),
-                       notes=notes or {})
+                       boundary=boundary, notes=notes or {})
     return EquilibriumResult(kind=kind, profile=game.ActionProfile(actions),
                              utilities=utils, social=float(utils.sum()),
                              diagnostics=diag)
@@ -130,13 +129,15 @@ def _priced_reaction(spec, player, f_obs):
     return np.clip(raw, lo, hi)
 
 
-def follower_best_response(spec, player, others, eps, *, tol=1e-13, max_iter=300):
+def follower_best_response(spec, player, others, eps):
     """Utility-maximizing action of `player` against fixed other players.
 
     With eps > 0 the response maximizes the worst-case utility over the
-    eps-ball of observations (inner minimization by the exact worst-case
-    observation, outer maximization in closed form for the priced model and
-    by robust waterfilling for the budgeted model).
+    eps-ball of observations.  The budgeted model's response is the robust
+    waterfill for every eps (at eps = 0 the nominal waterfill).  The priced
+    model's is the closed-form reaction, against the exact worst-case
+    observation when eps > 0: a damped fixed-point loop to `_BR_TOL`, which
+    raises `IterationLimitError` after `_BR_ITERS` iterates.
     """
     if player not in spec.followers:
         raise InvalidSpecError(f"player {player} is not a follower")
@@ -144,8 +145,6 @@ def follower_best_response(spec, player, others, eps, *, tol=1e-13, max_iter=300
         raise InvalidSpecError("eps must be nonnegative")
     f_nom = game.aggregate_impact(spec, others, player).values
     if spec.is_budgeted:
-        if eps == 0.0:
-            return budget_mod.waterfill(spec, player, f_nom, spec.budget(player))
         return budget_mod.robust_waterfill(spec, player, f_nom, eps,
                                            spec.budget(player))
     a = _priced_reaction(spec, player, f_nom)
@@ -157,15 +156,15 @@ def follower_best_response(spec, player, others, eps, *, tol=1e-13, max_iter=300
     # where the robust response shuts a dimension down)
     floor = 1e-9
     damping, best_res, stall = 1.0, np.inf, 0
-    for it in range(max_iter):
+    for it in range(_BR_ITERS):
         wco = robust.worst_case_observation(spec, player, np.maximum(a, floor),
-                                            f_nom, eps, tol=tol)
+                                            f_nom, eps)
         a_next = _priced_reaction(spec, player, wco.values)
         if it >= 3:
             a_next = (1.0 - damping) * a + damping * a_next
         res = float(np.max(np.abs(a_next - a)))
         a = a_next
-        if res < tol:
+        if res < _BR_TOL:
             return a
         if res > 0.9 * best_res:
             stall += 1
@@ -178,35 +177,34 @@ def follower_best_response(spec, player, others, eps, *, tol=1e-13, max_iter=300
                               last_iterate=a, residual=res)
 
 
-def followers_nash(spec, leaders_profile, eps=0.0, tol=1e-10, max_iter=500):
+def followers_nash(spec, leaders_profile, eps=0.0):
     """Jacobi best-response iteration of the followers to a fixed point.
 
     Follower rows of `leaders_profile` seed the iteration (zeros are fine);
     leader rows stay frozen.  Stops when every follower's action is within
-    `tol` of its own best response and returns those best responses, so a
-    follower clamped at a bound sits exactly on it.  Convergence is
+    `_NASH_TOL` of its own best response and returns those best responses,
+    so a follower clamped at a bound sits exactly on it.  Convergence is
     guaranteed when the followers' coupling matrix is a P-matrix; otherwise
-    the loop may hit `max_iter` and raises with the last iterate attached.
+    the loop may hit `lockstep.NASH_SWEEPS` sweeps and raises with the last
+    iterate attached.
     """
-    if tol <= 0:
-        raise InvalidSpecError("tol must be positive")
     unc = robust.coerce_uncertainty(spec, eps=eps)
     actions, iterations, residual = _followers_fixed_point(
-        spec, leaders_profile, unc, tol, max_iter)
+        spec, leaders_profile, unc, _NASH_TOL)
     kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
     return _make_result(kind, spec, actions, iterations=iterations,
                         residual=residual)
 
 
-def _followers_fixed_point(spec, leaders_profile, unc, tol, max_iter=500):
-    """`followers_nash`'s iteration: (actions, sweeps, residual), no result."""
+def _followers_fixed_point(spec, leaders_profile, unc, tol):
+    """`followers_nash`'s iteration to `tol`: (actions, sweeps, residual)."""
     actions = game.as_actions(leaders_profile).copy()
     followers = list(spec.followers)
     if not followers:
         return actions, 0, 0.0
     damping = 1.0
     prev_res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, lockstep.NASH_SWEEPS + 1):
         responses = {n: follower_best_response(spec, n, actions, unc.obs_radius[n])
                      for n in followers}
         res = max(float(np.max(np.abs(responses[n] - actions[n])))
@@ -221,8 +219,9 @@ def _followers_fixed_point(spec, leaders_profile, unc, tol, max_iter=500):
         for n in followers:
             actions[n] = (1.0 - damping) * actions[n] + damping * responses[n]
     raise IterationLimitError(
-        f"followers' Nash iteration did not converge in {max_iter} sweeps "
-        "(coupling may violate the P-matrix uniqueness condition)",
+        f"followers' Nash iteration did not converge in "
+        f"{lockstep.NASH_SWEEPS} sweeps (coupling may violate the P-matrix "
+        "uniqueness condition)",
         last_iterate=actions, residual=res)
 
 
@@ -238,12 +237,7 @@ def _single_leader(spec):
     return spec.leaders[0]
 
 
-def _leader_seed(spec, leader):
-    """Starting profile: leader at box floor, followers at zero-ish floor."""
-    return spec.action_min.copy()
-
-
-def _bilevel_priced(model_spec, unc, leader, tol, nash_tol):
+def _bilevel_priced(model_spec, unc, leader):
     """Maximize the leader's believed utility with follower Nash embedded.
 
     Along one leader coordinate the followers' reaction is piecewise smooth:
@@ -256,19 +250,21 @@ def _bilevel_priced(model_spec, unc, leader, tol, nash_tol):
     floats and their clamped side is kept, so a follower switched off at a
     kink is returned exactly on its bound.  Exact for K = 1; for K > 1 the
     search is coordinate-wise, in cyclic sweeps until the leader's action
-    settles.
+    moves less than `_LEADER_TOL`.  The followers' Nash solves stop at
+    `_NASH_TOL`, each seeded with the previous solve's profile (the box
+    floors at first).
     """
     lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
     followers = list(model_spec.followers)
     f_min = model_spec.action_min[followers]
     f_max = model_spec.action_max[followers]
-    cache = {"profile": _leader_seed(model_spec, leader)}
+    cache = {"profile": model_spec.action_min.copy()}
 
     def leader_value(a0_row):
         """Believed leader utility and the followers' actions."""
         seed = cache["profile"].copy()
         seed[leader] = a0_row
-        prof, _, _ = _followers_fixed_point(model_spec, seed, unc, nash_tol)
+        prof, _, _ = _followers_fixed_point(model_spec, seed, unc, _NASH_TOL)
         cache["profile"] = prof.copy()
         f0 = game.aggregate_impact(model_spec, prof, leader).values
         return game.utility(model_spec, leader, a0_row, f0), prof[followers]
@@ -320,7 +316,7 @@ def _bilevel_priced(model_spec, unc, leader, tol, nash_tol):
             best = coordinate_search(a0, k)
             shift = max(shift, abs(best - a0[k]))
             a0[k] = best
-        if shift < max(tol, 1e-11) or model_spec.n_dims == 1:
+        if shift < _LEADER_TOL or model_spec.n_dims == 1:
             break
     return a0, sweeps
 
@@ -373,22 +369,21 @@ def _bilevel_budgeted(model_spec, unc, leader, restarts, seed):
     return ascent.actions[0], ascent.steps, notes
 
 
-def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
-                   seed=0, notes=None):
+def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
+                   notes=None):
     leader = _single_leader(spec)
     model_spec = believed_spec if believed_spec is not None else spec
-    nash_tol = min(tol * 1e-3, 1e-12)
     if spec.is_budgeted:
         a0, iters, search_notes = _bilevel_budgeted(model_spec, unc, leader,
                                                      restarts, seed)
     else:
-        a0, iters = _bilevel_priced(model_spec, unc, leader, tol, nash_tol)
+        a0, iters = _bilevel_priced(model_spec, unc, leader)
         search_notes = {}
     # realization: commit a0, followers respond with true gains (and their own
     # robust responses); utilities evaluated at true parameters.
     committed = spec.action_min.copy()
     committed[leader] = a0
-    nash = followers_nash(spec, committed, eps=unc, tol=max(nash_tol, 1e-12))
+    nash = followers_nash(spec, committed, eps=unc)
     actions = nash.profile.actions.copy()
     actions[leader] = a0
     notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
@@ -400,19 +395,19 @@ def _solve_bilevel(spec, unc, tol, kind, believed_spec=None, restarts=20,
                         residual=nash.diagnostics.residual, notes=notes)
 
 
-def solve_nse(spec, tol=1e-9, restarts=20, seed=0):
+def solve_nse(spec, restarts=20, seed=0):
     """Nominal Stackelberg equilibrium of a single-leader game."""
     unc = robust.coerce_uncertainty(spec, eps=0.0)
-    return _solve_bilevel(spec, unc, tol, "NSE", restarts=restarts, seed=seed)
+    return _solve_bilevel(spec, unc, "NSE", restarts=restarts, seed=seed)
 
 
-def solve_rse1(spec, eps, tol=1e-9, restarts=20, seed=0):
+def solve_rse1(spec, eps, restarts=20, seed=0):
     """Robust Stackelberg equilibrium, case 1: noisy follower observations."""
     unc = robust.coerce_uncertainty(spec, eps=eps)
-    return _solve_bilevel(spec, unc, tol, "RSE1", restarts=restarts, seed=seed)
+    return _solve_bilevel(spec, unc, "RSE1", restarts=restarts, seed=seed)
 
 
-def solve_rse2(spec, eps, delta, tol=1e-9, restarts=20, seed=0):
+def solve_rse2(spec, eps, delta, restarts=20, seed=0):
     """Robust Stackelberg equilibrium, case 2: incomplete leader information.
 
     The leader plans against the uniformly shrunken worst-case gains toward
@@ -430,7 +425,7 @@ def solve_rse2(spec, eps, delta, tol=1e-9, restarts=20, seed=0):
             spec, nf, leader, unc.info_radius[nf, leader])
     believed = spec.with_cross_gain(gains)
     oversized = robust.oversized_info_radius(spec, unc)
-    return _solve_bilevel(spec, unc, tol, "RSE2", believed_spec=believed,
+    return _solve_bilevel(spec, unc, "RSE2", believed_spec=believed,
                           restarts=restarts, seed=seed,
                           notes={"oversized_info_radius": oversized})
 

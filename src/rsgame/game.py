@@ -20,6 +20,7 @@ from .errors import InvalidSpecError, SingularImpactError
 # f values at or below this are treated as singular rather than clamped;
 # positive noise floors make them unreachable for valid inputs.
 IMPACT_FLOOR = 1e-12
+_BUDGET_TOL = 1e-9  # budget overspend that `ActionProfile.validate` forgives
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ class ActionProfile:
     def __post_init__(self):
         object.__setattr__(self, "actions", _freeze(self.actions))
 
-    def validate(self, spec, budget_tol=1e-9):
+    def validate(self, spec):
         a = self.actions
         if a.shape != (spec.n_players, spec.n_dims):
             raise InvalidSpecError("profile shape does not match the spec")
@@ -182,7 +183,7 @@ class ActionProfile:
             raise InvalidSpecError("profile outside the action box")
         if spec.is_budgeted:
             totals = a.sum(axis=1)
-            if np.any(totals > spec.utility_model.budget + budget_tol):
+            if np.any(totals > spec.utility_model.budget + _BUDGET_TOL):
                 raise InvalidSpecError("profile exceeds a player's action budget")
         return self
 

@@ -117,21 +117,9 @@ class ExperimentConfig:
         n, k = self.n_players, self.n_dims
         if gains.shape != (n, n, k):
             raise ConfigError(f"gains must have shape {(n, n, k)}")
-        kwargs = {}
-        if self.utility["kind"] == "priced":
-            kwargs["price"] = np.broadcast_to(
-                np.asarray(self.utility["price"], dtype=float), (n,))
-        else:
-            kwargs["budget"] = np.broadcast_to(
-                np.asarray(self.utility["budget"], dtype=float), (n,))
-        followers = tuple(i for i in range(n) if i not in self.leaders)
-        return game.GameSpec(
-            n_players=n, n_dims=k, leaders=self.leaders, followers=followers,
-            action_min=np.broadcast_to(np.asarray(self.action_min, dtype=float), (n, k)),
-            action_max=np.broadcast_to(np.asarray(self.action_max, dtype=float), (n, k)),
-            cross_gain=gains,
-            noise=np.broadcast_to(np.asarray(self.noise, dtype=float), (n, k)),
-            utility_model=(game.PricedThroughput(price=game._freeze(kwargs["price"]))
-                           if "price" in kwargs else
-                           game.BudgetedThroughput(budget=game._freeze(kwargs["budget"]))),
-        )
+        model = "price" if self.utility["kind"] == "priced" else "budget"
+        idx = np.arange(n)
+        return game.make_spec(
+            gains[idx, idx], gains, self.noise, leaders=self.leaders,
+            action_min=self.action_min, action_max=self.action_max,
+            **{model: self.utility[model]})

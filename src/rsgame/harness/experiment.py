@@ -198,7 +198,8 @@ def run_experiment(config, quiet=False):
                              orderings=orderings, agreement=agreement)
 
 
-def _grade_orderings(records, leader, fol, slack=1e-9):
+def _grade_orderings(records, leader, fol):
+    slack = analysis.ORDERING_SLACK
     checks = {"case1_leader_up": [0, 0], "case1_follower_down": [0, 0],
               "case2_leader_down": [0, 0], "case2_follower_up": [0, 0]}
     for rec in records:

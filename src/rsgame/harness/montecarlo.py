@@ -18,6 +18,9 @@ from .. import lockstep
 from ..errors import ConfigError
 from . import channels
 
+_N_STEPS = 40  # ascent steps per start
+_CHUNK = 50    # instances per engine call
+
 
 @dataclass(frozen=True)
 class TwoPlayerBatch:
@@ -123,8 +126,7 @@ def empirical_cdf(values):
     return v, frac
 
 
-def monte_carlo_cdf(config, eps=None, n_steps=40, restarts=None,
-                    chunk_size=50):
+def monte_carlo_cdf(config, eps=None):
     """Empirical CDF of the follower's relative utility change under case 1.
 
     Solves the budgeted nominal and case-1 robust games for every ensemble
@@ -133,28 +135,28 @@ def monte_carlo_cdf(config, eps=None, n_steps=40, restarts=None,
     Instances whose nominal follower utility is numerically zero are
     excluded and counted; more than 5% exclusions fails the run.
 
+    Each start of `config.restarts` takes at most `_N_STEPS` ascent steps.
     The instances go through the engine in equal chunks of at most
-    `chunk_size`.  A kernel call holds up to chunk x starts x 2K rows and
-    the kernel keeps some three dozen arrays of that many rows alive, so
-    the chunk bounds the working set: 50 instances with the robust solve's
-    five starts at K = 4 make calls of 2000 rows.
+    `_CHUNK`.  A kernel call holds up to chunk x starts x 2K rows and the
+    kernel keeps some three dozen arrays of that many rows alive, so the
+    chunk bounds the working set: 50 instances with the robust solve's five
+    starts at K = 4 make calls of 2000 rows.
     """
     eps = float(max(e for e in config.eps_grid) if eps is None else eps)
-    restarts = config.restarts if restarts is None else restarts
     batch, _ = batch_from_config(config, config.ensemble_size)
     game = batch.stacked
     d1_parts = []
     excluded = 0
-    n_chunks = -(-config.ensemble_size // chunk_size)
+    n_chunks = -(-config.ensemble_size // _CHUNK)
+    ascent = {"n_steps": _N_STEPS, "seed": config.rng_seed,
+              "restarts": config.restarts}
     for sel in np.array_split(np.arange(config.ensemble_size), n_chunks):
         part = game.select(sel)
-        nse = lockstep.leader_ascent(part, 0.0, n_steps=n_steps,
-                                     seed=config.rng_seed, restarts=restarts)
+        nse = lockstep.leader_ascent(part, 0.0, **ascent)
         # continuation: the nominal optimum seeds the robust ascent so basin
         # lottery between the paired solves cancels in the difference metric
-        rob = lockstep.leader_ascent(part, eps, n_steps=n_steps,
-                                     seed=config.rng_seed, restarts=restarts,
-                                     extra_starts=(nse.actions,))
+        rob = lockstep.leader_ascent(part, eps, extra_starts=(nse.actions,),
+                                     **ascent)
         h10, h11, sigma1 = batch.h10[sel], batch.h11[sel], batch.sigma1[sel]
         w1_nse, w1_r = (np.log1p(h11 * res.followers[:, 0]
                                  / (sigma1 + h10 * res.actions)).sum(axis=1)

@@ -15,6 +15,11 @@ from ..errors import InvalidSpecError
 from ..budget import project_box_budget
 from ..numerics import maximize_scalar
 
+# `cooperative_leaders_nse`
+_NASH_TOL = 1e-11  # the followers' Nash residual
+_LEADER_TOL = 1e-9  # leader action shift that ends an ascent
+_MAX_SWEEPS = 80   # sweeps per ascent
+
 
 def demote_to_single_leader(spec, leader):
     """Spec where `leader` leads and every other player follows."""
@@ -113,15 +118,16 @@ def heuristic_leader_selection(spec, delta_per_leader, at="full_power",
                            delta=delta)
 
 
-def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
-                            max_sweeps=80):
+def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
     """Leaders jointly maximize their summed utility with followers embedded.
 
     Projected coordinate ascent over all (leader, dimension) coordinates with
     random restarts; budgeted leaders keep their own sum-power feasibility via
-    projection after every sweep.  The followers' equilibrium is re-solved at
-    every objective evaluation, so a non-certified followers' game can make
-    this expensive; the result notes whether ascent stalled.
+    projection after every sweep.  An ascent stops once a sweep moves no
+    leader action by `_LEADER_TOL`, or after `_MAX_SWEEPS` sweeps.  The
+    followers' equilibrium is re-solved (to `_NASH_TOL`) at every objective
+    evaluation, so a non-certified followers' game can make this expensive;
+    the result notes whether ascent stalled.
     """
     leaders = list(spec.leaders)
     if not leaders:
@@ -136,7 +142,7 @@ def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
         for i, n in enumerate(leaders):
             seed_prof[n] = actions_leaders[i]
         prof, _, _ = equilibria._followers_fixed_point(
-            spec, seed_prof, unc, min(tol * 1e-2, 1e-11))
+            spec, seed_prof, unc, _NASH_TOL)
         cache["profile"] = prof.copy()
         total = 0.0
         for n in leaders:
@@ -147,7 +153,7 @@ def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
     def ascend(a_l):
         value, _ = social_of_leaders(a_l)
         converged = False
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             shift = 0.0
             for i, n in enumerate(leaders):
                 for k in range(spec.n_dims):
@@ -159,14 +165,13 @@ def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
                                                           spec.budget(n))
                         return social_of_leaders(trial)[0]
 
-                    best = maximize_scalar(fn, lo[n, k], hi[n, k],
-                                           coarse_tol=1e-7)
+                    best = maximize_scalar(fn, lo[n, k], hi[n, k])
                     shift = max(shift, abs(best - a_l[i, k]))
                     a_l[i, k] = best
                 if spec.is_budgeted:
                     a_l[i] = project_box_budget(a_l[i], lo[n], hi[n],
                                                 spec.budget(n))
-            if shift < max(tol, 1e-10):
+            if shift < _LEADER_TOL:
                 converged = True
                 break
         value, prof = social_of_leaders(a_l)
@@ -187,13 +192,7 @@ def cooperative_leaders_nse(spec, eps=0.0, tol=1e-9, restarts=20, seed=0,
         if best is None or value > best[1]:
             best = (a_l, value, prof, converged)
     a_l, value, prof, converged = best
-    utils = equilibria.realized_utilities(spec, prof)
-    diag = equilibria.Diagnostics(
-        iterations=max(restarts, 1),
+    return equilibria._make_result(
+        "NSE", spec, prof, iterations=max(restarts, 1),
         residual=0.0 if converged else np.inf,
-        boundary=equilibria._boundary_flags(spec, prof),
-        notes={"leaders_social": value, "certified_ascent": converged},
-    )
-    return equilibria.EquilibriumResult(kind="NSE", profile=game.ActionProfile(prof),
-                                        utilities=utils, social=float(utils.sum()),
-                                        diagnostics=diag)
+        notes={"leaders_social": value, "certified_ascent": converged})

@@ -39,10 +39,11 @@ LADDER = 6
 # central-difference step and freezing step, relative to the leader's budget
 _FD_STEP = 1e-6
 _FREEZE = 1e-10
-# followers' Jacobi sweep: its residual and sweep limit (as `followers_nash`
-# in the leader's search)
+# followers' Jacobi sweep: its residual (the priced leader search and
+# `equilibria.followers_nash` stop at 1e-12, the cooperative leaders of
+# `harness.protocol` at 1e-11) and its sweep limit, shared with followers_nash
 _NASH_TOL = 1e-11
-_NASH_SWEEPS = 500
+NASH_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class _Response:
         rows = np.arange(a.shape[0])
         damping = np.ones(rows.size)
         prev = np.full(rows.size, np.inf)
-        for _ in range(_NASH_SWEEPS):
+        for _ in range(NASH_SWEEPS):
             f = base[rows] + np.einsum("rnmk,rmk->rnk",
                                        self.cross[inst[rows]], a[rows])
             resp = self._kernel(f, inst[rows])
@@ -170,7 +171,7 @@ class _Response:
             d = damping[:, None, None]
             a[rows] = (1.0 - d) * a[rows] + d * resp
         raise IterationLimitError(
-            f"followers' Nash iteration did not converge in {_NASH_SWEEPS} "
+            f"followers' Nash iteration did not converge in {NASH_SWEEPS} "
             "sweeps (coupling may violate the P-matrix uniqueness condition)",
             last_iterate=a, residual=float(res.max()))
 

@@ -24,6 +24,8 @@ _DEGENERATE_GRAD = 1e-14
 # Residual floor of the worst-case observation, relative to max(f) + eps, the
 # largest value it can return: a few dozen roundings.
 _ROUNDING = 32 * np.finfo(float).eps
+_TOL = 1e-13      # `worst_case_observation`'s fixed-point residual
+_MAX_ITER = 200   # and its iterate limit
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def direction_vector(bundle):
 
 
 def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
-                           one_step=False, tol=1e-10, max_iter=200):
+                           one_step=False):
     """Worst observation in the eps-ball around the nominal impact.
 
     A trust-region subproblem, solved exactly through its KKT conditions.
@@ -128,10 +130,10 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
     The iteration starts at the one-step point s = eps * r(f) / |r(f)|, which
     is already the answer for K = 1 and whenever one dimension carries the
     gradient.  An iterate is accepted once the fixed-point residual
-    max|eps * r(t) / |r(t)| - s| at t = f + s is below `tol` (raised to
+    max|eps * r(t) / |r(t)| - s| at t = f + s is below `_TOL` (raised to
     32 roundings of max(f) + eps where it asks for less, which no iterate
     resolves), and the returned values are f + eps * r(t) / |r(t)|.
-    Raises `IterationLimitError` after `max_iter` iterates.  `one_step=True`
+    Raises `IterationLimitError` after `_MAX_ITER` iterates.  `one_step=True`
     instead evaluates the direction at the nominal point only (the two
     differ by O(eps^2)).
 
@@ -163,11 +165,11 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
                                     iterations=1,
                                     residual=float(abs(target - f).max()))
 
-    tol = max(tol, _ROUNDING * (float(f.max()) + eps))
+    tol = max(_TOL, _ROUNDING * (float(f.max()) + eps))
     s = target - f
     log_eps = math.log(eps)
     log_mu, lo, hi = None, -math.inf, math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         t = f + s
         theta, target, norm_r = fixed_point(t)
         res = float(abs(target - t).max())
@@ -196,7 +198,7 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
             log_mu += step
         s = _cubic_roots(f, u, math.exp(log_mu), s)
     raise IterationLimitError(
-        f"worst-case observation did not converge in {max_iter} iterations",
+        f"worst-case observation did not converge in {_MAX_ITER} iterations",
         last_iterate=f + s, residual=res,
     )
 

@@ -74,7 +74,7 @@ class TestCriterion1WorstCaseOracle:
             # radius scaled so 1000 surface samples resolve the curvature
             eps = {1: 0.05, 2: 0.02, 3: 0.004, 4: 0.002}[k] \
                 / max(1.0, float(np.linalg.norm(g)))
-            wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+            wco = rs.worst_case_observation(spec, 0, a, f, eps)
             u_star = rs.utility(spec, 0, a, wco.values)
             dirs = rng.standard_normal((1000, k))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -116,7 +116,7 @@ class TestFollowersNash:
 
     def test_fixed_point_residual_contract(self):
         spec = symmetric_followers_spec(0.35)
-        res = rs.followers_nash(spec, np.zeros((2, 1)), tol=1e-11)
+        res = rs.followers_nash(spec, np.zeros((2, 1)))
         for n in spec.followers:
             br = rs.follower_best_response(spec, n, res.profile.actions, 0.0)
             assert np.max(np.abs(br - res.profile.actions[n])) < 1e-10
@@ -130,10 +130,11 @@ class TestFollowersNash:
         assert res.diagnostics.iterations == 0
         assert res.diagnostics.residual == 0.0
 
-    def test_iteration_limit_error_carries_iterate(self):
+    def test_iteration_limit_error_carries_iterate(self, monkeypatch):
         spec = symmetric_followers_spec(0.2)
+        monkeypatch.setattr(lockstep, "NASH_SWEEPS", 1)
         with pytest.raises(IterationLimitError) as exc_info:
-            rs.followers_nash(spec, np.zeros((2, 1)), max_iter=1)
+            rs.followers_nash(spec, np.zeros((2, 1)))
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual > 0
 
@@ -149,8 +150,8 @@ class TestFollowersNash:
             for eps in ((0.0,) if k > 1 else (0.0, 0.03)):
                 unc = robust.coerce_uncertainty(spec, eps=eps)
                 actions, sweeps, residual = equilibria._followers_fixed_point(
-                    spec, profile, unc, 1e-11)
-                full = rs.followers_nash(spec, profile, eps=eps, tol=1e-11)
+                    spec, profile, unc, equilibria._NASH_TOL)
+                full = rs.followers_nash(spec, profile, eps=eps)
                 assert np.array_equal(actions, full.profile.actions)
                 assert sweeps == full.diagnostics.iterations
                 assert residual == full.diagnostics.residual

@@ -22,8 +22,7 @@ EPS = 0.05
 def test_worst_case_observation(benchmark, k):
     spec = rs.make_spec(direct=H[None, :k], cross=np.zeros((1, 1, k)),
                         noise=0.01, leaders=(), action_max=10.0, budget=[10.0])
-    wco = benchmark(rs.worst_case_observation, spec, 0, A[:k], F[:k], EPS,
-                    tol=1e-11)
+    wco = benchmark(rs.worst_case_observation, spec, 0, A[:k], F[:k], EPS)
     assert np.linalg.norm(wco.values - F[:k]) == pytest.approx(EPS, rel=1e-9)
 
 

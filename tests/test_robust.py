@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rsgame as rs
+from rsgame import robust
 from rsgame.errors import InvalidSpecError, IterationLimitError
 
 from conftest import random_state
@@ -68,7 +69,7 @@ class TestWorstCaseObservation:
             spec, a, f = random_state(rng, k)
             a = np.maximum(a, 0.05)
             eps = float(rng.uniform(0.01, 0.2)) * float(np.min(f))
-            wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+            wco = rs.worst_case_observation(spec, 0, a, f, eps)
             u_star = rs.utility(spec, 0, a, wco.values)
             samples = f[None, :] + eps * _ball(rng, 200, k)
             samples = np.maximum(samples, 1e-9)
@@ -82,7 +83,7 @@ class TestWorstCaseObservation:
             spec, a, f = random_state(rng, k)
             a = np.maximum(a, 0.05)
             eps = 0.05
-            wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+            wco = rs.worst_case_observation(spec, 0, a, f, eps)
             assert np.linalg.norm(wco.values - f) == pytest.approx(eps, abs=1e-8)
             assert np.all(wco.values >= f - 1e-12)
             res = rs.complementary_slackness_residual(spec, 0, a, f, eps, wco)
@@ -102,7 +103,7 @@ class TestWorstCaseObservation:
         f = np.array([0.6, 0.9])
         gaps = []
         for eps in (0.2, 0.1):
-            fixed = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-13)
+            fixed = rs.worst_case_observation(spec, 0, a, f, eps)
             one = rs.worst_case_observation(spec, 0, a, f, eps, one_step=True)
             gaps.append(np.max(np.abs(fixed.values - one.values)))
         assert gaps[0] > 0
@@ -169,13 +170,14 @@ class TestWorstCaseExactness:
             _check_worst_case(h[i, :k], a[i, :k], f[i, :k], float(eps[i]),
                               want[i, :k])
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         spec = _single_player_spec(np.array([1.0, 1.5]))
         a, f = np.array([1.0, 0.4]), np.array([0.6, 0.9])
-        with pytest.raises(IterationLimitError) as info:
-            rs.worst_case_observation(spec, 0, a, f, 0.2, max_iter=1)
-        assert info.value.last_iterate.shape == (2,)
         assert rs.worst_case_observation(spec, 0, a, f, 0.2).iterations > 1
+        monkeypatch.setattr(robust, "_MAX_ITER", 1)
+        with pytest.raises(IterationLimitError) as info:
+            rs.worst_case_observation(spec, 0, a, f, 0.2)
+        assert info.value.last_iterate.shape == (2,)
 
 
 def _floats(lo, hi):
@@ -191,7 +193,7 @@ def _single_player_spec(h):
 def _check_worst_case(h, a, f, eps, want):
     """The four checks of one state against the oracle's values `want`."""
     spec = _single_player_spec(h)
-    wco = rs.worst_case_observation(spec, 0, a, f, eps, tol=1e-12)
+    wco = rs.worst_case_observation(spec, 0, a, f, eps)
     assert np.all(wco.values >= f)
     res = rs.complementary_slackness_residual(spec, 0, a, f, eps, wco)
     assert res <= 1e-8 * max(1.0, eps)

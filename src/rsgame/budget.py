@@ -15,7 +15,9 @@ is in turn the worst case (`robust.worst_case_observation`) against it.
 and one ball multiplier per row: in closed form per channel for a fixed
 (level, multiplier), and by bracketed Newton steps in the level and, on the
 Schur complement, in the log multiplier.  `robust_waterfill` is its one-row
-call.
+call.  `robust_waterfill_jacobian` differentiates the saddle point
+implicitly: da/df from the same per-channel pieces and one 2x2 solve in the
+(level, multiplier) per row.
 """
 
 from dataclasses import dataclass
@@ -226,6 +228,66 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps):
         f"robust waterfilling did not converge in {_SADDLE_ITERS} iterations",
         last_iterate=alloc, residual=float(np.max(np.maximum(
             np.abs(st.res_w), np.abs(st.res_mu)))))
+
+
+def robust_waterfill_jacobian(f, h, lo, hi, a, t):
+    """Jacobian da/df (R, K, K) of `robust_waterfill_batch` at its saddle points.
+
+    f, h, lo and hi are the kernel's inputs and a, t its outputs, (R, K) or
+    broadcast to it; J[r, k, j] = da_k/df_j of row r.  The derivative is
+    that of the current piece: a channel strictly inside its box stays
+    inside, one on its floor or ceiling stays there, so at a kink it is the
+    one-sided derivative along which no channel changes piece.
+
+    The multiplier is read off the channel with the largest shift among
+    those with u = h a > 0: mu = s t (t + u) / u, with s = t - f.  An inner
+    channel has t + u = h w and t^2 + (mu / (h w) - f) t = mu; a pinned
+    channel has u fixed and s (f + s)(f + s + u) = mu u.  Differentiating
+    both, with sum(da) = 0 and sum(s ds) = 0, leaves a 2x2 solve in
+    (dw, dmu) per row.  A row with s = 0 (eps = 0, or nothing at stake)
+    drops the ball row, and a row with no inner channel has da = 0.
+    """
+    f = np.asarray(f, dtype=float)
+    r, k = f.shape
+    h, lo, hi, a, t = (np.broadcast_to(np.asarray(x, dtype=float), (r, k))
+                       for x in (h, lo, hi, a, t))
+    s = t - f
+    u = h * a
+    inner = (h > 0) & (a > lo) & (a < hi)
+    inv_h = np.where(inner, 1.0 / np.where(inner, h, 1.0), 0.0)
+    at = np.arange(r), np.where(u > 0, s, -np.inf).argmax(axis=1)
+    s_at, t_at, u_at = s[at], t[at], u[at]
+    mu = np.where(u_at > 0, s_at * t_at * (t_at + u_at)
+                  / np.where(u_at > 0, u_at, 1.0), 0.0)[:, None]
+    # inner channels: dt = t_w dw + t_mu dmu + t_f df
+    hw = t + u
+    den = t * t + mu
+    t_f = t * t / den
+    t_w = mu * t * t * h / (hw * hw * den)
+    t_mu = u * t / (hw * den)
+    # every channel: ds = s_mu dmu + s_f df, plus t_w dw inside the box
+    p2u = 2.0 * t + u
+    g_s = t * (t + u) + s * p2u
+    s_mu = np.where(inner, t_mu, u / g_s)
+    s_f = np.where(inner, t_f - 1.0, -s * p2u / g_s)
+    # da = a_w dw + a_mu dmu - b_w df on each channel; the budget row
+    # sum(da) = 0 and the ball row sum(s ds) = 0, one column per df_j
+    a_w = np.where(inner, 1.0 - t_w * inv_h, 0.0)
+    a_mu = -t_mu * inv_h
+    b_w = t_f * inv_h
+    b_mu = -s * s_f
+    da_dw, da_dmu = a_w.sum(axis=1)[:, None], a_mu.sum(axis=1)[:, None]
+    ss_w = np.where(inner, s * t_w, 0.0).sum(axis=1)[:, None]
+    ss_mu = (s * s_mu).sum(axis=1)[:, None]
+    ball = ss_mu > 0
+    det = np.where(ball, da_dw * ss_mu - da_dmu * ss_w, da_dw)
+    det = np.where(det > 0, det, 1.0)
+    dw = np.where(ball, ss_mu * b_w - da_dmu * b_mu, b_w) / det
+    dmu = np.where(ball, da_dw * b_mu - ss_w * b_w, 0.0) / det
+    jac = a_w[:, :, None] * dw[:, None, :] + a_mu[:, :, None] * dmu[:, None, :]
+    idx = np.arange(k)
+    jac[:, idx, idx] -= b_w
+    return jac
 
 
 # steps a row may take in mu while off the budget

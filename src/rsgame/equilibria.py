@@ -357,15 +357,17 @@ def _bilevel_budgeted(model_spec, unc, leader, restarts, seed):
 
     A projected gradient ascent from `lockstep.leader_starts`, heuristic by
     design (the follower reaction makes the objective only piecewise
-    smooth).  Notes the engine's kernel calls, its ascent steps and the gap
-    between the best and the runner-up start's leader value.
+    smooth).  Notes the engine's kernel calls, its ascent steps, the gap
+    between the best and the runner-up start's leader value, and the
+    leader-side residual |a0 - P(a0 + grad U0)| of the returned action.
     """
     stacked = lockstep.StackedGame.from_spec(model_spec, leader)
     ascent = lockstep.leader_ascent(
         stacked, unc.obs_radius[stacked.followers], restarts=restarts,
         seed=seed)
     notes = {"engine_calls": ascent.calls, "ascent_steps": ascent.steps,
-             "start_gap": float(ascent.start_gap[0])}
+             "start_gap": float(ascent.start_gap[0]),
+             "leader_residual": float(ascent.residuals[0])}
     return ascent.actions[0], ascent.steps, notes
 
 

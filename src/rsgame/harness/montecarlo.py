@@ -3,11 +3,13 @@
 The cumulative-distribution study needs thousands of budgeted bi-level
 solves.  It runs them on the lockstep leader engine (`rsgame.lockstep`),
 the same engine `solve_nse`/`solve_rse1`/`solve_rse2` call with one
-instance: the whole ensemble, every start and every finite-difference or
-trial-step candidate move through the follower's robust waterfill
-(`budget.robust_waterfill_batch`, one exact saddle solve per row) and the
-leader's projected gradient ascent as stacked arrays, two kernel calls per
-ascent step.  `TwoPlayerBatch` is the two-player view of the stacked game.
+instance: the whole ensemble, every start and every trial step move
+through the follower's robust waterfill (`budget.robust_waterfill_batch`,
+one exact saddle solve per row) and the leader's projected gradient ascent
+as stacked arrays, one kernel call per ascent step; the leader's gradient
+comes exactly from the follower's response Jacobian at the saddle points
+that call returned.  `TwoPlayerBatch` is the two-player view of the stacked
+game.
 """
 
 from dataclasses import dataclass
@@ -90,15 +92,17 @@ def follower_response_batch(batch, a0, eps):
     return lockstep.respond(batch.stacked, a0, eps)[:, 0]
 
 
-def leader_ascent_batch(batch, eps, n_steps=50, seed=0, restarts=3,
+def leader_ascent_batch(batch, eps, n_steps=_N_STEPS, seed=0, restarts=3,
                         extra_starts=()):
     """Lockstep projected gradient ascent of all leaders at once.
 
-    Starts are deterministic (`lockstep.leader_starts`: waterfills against
-    a quiet follower, a busy one and one at its ceilings, a uniform spread,
-    then Dirichlet draws from `seed` up to `restarts`; fewer than four
-    restarts keep the four), so the nominal and robust solves explore paired
-    basins and their local-maximum noise cancels in difference metrics.
+    Each start takes at most `n_steps` steps, by default the `_N_STEPS` of
+    `monte_carlo_cdf`.  Starts are deterministic (`lockstep.leader_starts`:
+    waterfills against a quiet follower, a busy one and one at its
+    ceilings, a uniform spread, then Dirichlet draws from `seed` up to
+    `restarts`; fewer than four restarts keep the four), so the nominal
+    and robust solves explore paired basins and their local-maximum noise
+    cancels in difference metrics.
     `extra_starts` prepends known-good points, e.g. the nominal solution as
     a continuation start for a small-radius robust solve.
     """
@@ -137,10 +141,10 @@ def monte_carlo_cdf(config, eps=None):
 
     Each start of `config.restarts` takes at most `_N_STEPS` ascent steps.
     The instances go through the engine in equal chunks of at most
-    `_CHUNK`.  A kernel call holds up to chunk x starts x 2K rows and the
-    kernel keeps some three dozen arrays of that many rows alive, so the
+    `_CHUNK`.  A kernel call holds up to chunk x starts x `lockstep.LADDER`
+    rows and the kernel keeps some three dozen arrays of that many rows alive, so the
     chunk bounds the working set: 50 instances with the robust solve's five
-    starts at K = 4 make calls of 2000 rows.
+    starts make calls of up to 1500 rows.
     """
     eps = float(max(e for e in config.eps_grid) if eps is None else eps)
     batch, _ = batch_from_config(config, config.ensemble_size)

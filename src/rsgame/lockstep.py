@@ -9,16 +9,20 @@ with one follower that is one kernel call over all rows, with several a
 Jacobi sweep that makes one kernel call over rows x followers per sweep.
 
 `leader_ascent` is a projected gradient ascent of every leader from several
-starts, all (instance, start) rows in lockstep.  Each step makes two
-response calls: one for the 2K central-difference candidates of every live
-row, then one for a ladder of trial steps step * 2^-j, j = 0..LADDER-1,
-along each row's gradient.  A row moves to its best improving rung, and its
-next ladder starts at four times that rung's step; a row with no improving
-rung shrinks its step below the ladder, and it freezes once the step is
-below 1e-10 of the leader's budget.
-The second call needs the gradient, so the two cannot be merged.  The
-ascent is a heuristic (the followers' reaction makes the leader's objective
-only piecewise smooth); the starts guard against local maxima.
+starts, all (instance, start) rows in lockstep.  Each step makes one
+response call (with one follower, one kernel call), for a ladder of trial
+steps step * 2^-j, j = 0..LADDER-1, along each live row's gradient, so an
+ascent of n steps makes n + 1 calls, the first for its starts.  A row
+moves to its best improving rung, and its next ladder starts at four times
+that rung's step; a row with no improving rung shrinks its step below the
+ladder, and it freezes once the step is below 1e-10 of the leader's
+budget.  The gradient is exact: the followers' response Jacobian
+(`budget.robust_waterfill_jacobian`) at the saddle points the kernel
+already returned, chained through the followers' equilibrium, so a row
+that moves gets its next gradient without another kernel call.  The ascent
+is a heuristic (the followers' reaction makes the leader's objective only
+piecewise smooth, and on a kink the gradient is that of the current
+piece); the starts guard against local maxima.
 
 Every operation is row by row, so a row's result does not depend on the
 other rows of its call: one instance solved alone equals its row of an
@@ -30,14 +34,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .budget import (project_box_budget_batch, robust_waterfill_batch,
-                     waterfill_batch)
+                     robust_waterfill_jacobian, waterfill_batch)
 from .errors import IterationLimitError
 
 # trial steps per ascent step, each half the one before: after a move the
 # ladder spans two doublings above the accepted step and three halvings below
 LADDER = 6
-# central-difference step and freezing step, relative to the leader's budget
-_FD_STEP = 1e-6
+# freezing step, relative to the leader's budget
 _FREEZE = 1e-10
 # followers' Jacobi sweep: its residual (the priced leader search and
 # `equilibria.followers_nash` stop at 1e-12, the cooperative leaders of
@@ -87,6 +90,7 @@ class Ascent:
     followers: np.ndarray     # (B, Nf, K) the followers' response to it
     values: np.ndarray        # (B,) leader utility there
     start_values: np.ndarray  # (B, S) leader utility reached from each start
+    residuals: np.ndarray     # (B,) |a0 - P(a0 + grad U0)| at the best action
     calls: int                # followers' response kernel calls
     steps: int                # lockstep ascent steps
 
@@ -100,10 +104,13 @@ class Ascent:
 
 
 class _Response:
-    """The followers' equilibrium and the leader's utility, row by row.
+    """The followers' equilibrium, the leader's utility and its gradient,
+    row by row.
 
     A row is an instance index and a leader action; the followers' arrays
-    are gathered per instance once.  `calls` counts kernel calls.
+    are gathered per instance once.  An equilibrium is an (R, 3, Nf, K)
+    stack of the followers' actions, the impacts they responded to and
+    their worst observations there.  `calls` counts kernel calls.
     """
 
     def __init__(self, game, eps):
@@ -124,21 +131,28 @@ class _Response:
         self.noise0 = game.noise[:, lead]
         self.calls = 0
 
+    def _gains_and_boxes(self, inst, shape):
+        """Direct gains and boxes of the follower rows (R * Nf, K) of an
+        (R, Nf, K) array."""
+        k = shape[2]
+        return (self.h[inst].reshape(-1, k),
+                np.broadcast_to(self.lo, shape).reshape(-1, k),
+                np.broadcast_to(self.hi, shape).reshape(-1, k))
+
     def _kernel(self, f, inst):
-        """Every follower's robust waterfill against impacts f (R, Nf, K)."""
+        """Every follower's robust waterfill against impacts f (R, Nf, K):
+        the (R, 3, Nf, K) equilibrium stack."""
         self.calls += 1
         r, nf, k = f.shape
-        shape = (r, nf, k)
-        alloc, _ = robust_waterfill_batch(
-            f.reshape(-1, k), self.h[inst].reshape(-1, k),
-            np.broadcast_to(self.lo, shape).reshape(-1, k),
-            np.broadcast_to(self.hi, shape).reshape(-1, k),
+        alloc, worst = robust_waterfill_batch(
+            f.reshape(-1, k), *self._gains_and_boxes(inst, f.shape),
             np.broadcast_to(self.budget, (r, nf)).ravel(),
             np.broadcast_to(self.eps, (r, nf)).ravel())
-        return alloc.reshape(shape)
+        return np.stack([alloc.reshape(f.shape), f, worst.reshape(f.shape)],
+                        axis=1)
 
     def followers(self, inst, a0, seed):
-        """Followers' equilibrium against leader actions a0 (R, K).
+        """Followers' equilibrium (R, 3, Nf, K) against leader actions a0 (R, K).
 
         One follower responds in one kernel call.  Several run the Jacobi
         iteration of `equilibria.followers_nash` from `seed` (R, Nf, K), row
@@ -148,8 +162,9 @@ class _Response:
         """
         base = self.noise[inst] + self.from_leader[inst] * a0[:, None, :]
         if base.shape[1] <= 1:
-            return self._kernel(base, inst) if base.shape[1] else base
-        out = np.empty_like(base)
+            return (self._kernel(base, inst) if base.shape[1]
+                    else np.stack([base] * 3, axis=1))
+        out = np.empty((base.shape[0], 3) + base.shape[1:])
         a = np.array(seed, dtype=float)
         rows = np.arange(a.shape[0])
         damping = np.ones(rows.size)
@@ -157,12 +172,12 @@ class _Response:
         for _ in range(NASH_SWEEPS):
             f = base[rows] + np.einsum("rnmk,rmk->rnk",
                                        self.cross[inst[rows]], a[rows])
-            resp = self._kernel(f, inst[rows])
-            res = np.abs(resp - a[rows]).max(axis=(1, 2))
+            eq = self._kernel(f, inst[rows])
+            res = np.abs(eq[:, 0] - a[rows]).max(axis=(1, 2))
             done = res < _NASH_TOL
-            out[rows[done]] = resp[done]
+            out[rows[done]] = eq[done]
             live = ~done
-            rows, resp, res = rows[live], resp[live], res[live]
+            rows, resp, res = rows[live], eq[live, 0], res[live]
             if rows.size == 0:
                 return out
             damping = np.where(res > prev[live], np.maximum(
@@ -176,10 +191,36 @@ class _Response:
             last_iterate=a, residual=float(res.max()))
 
     def evaluate(self, inst, a0, seed):
-        """Leader utilities and the followers' actions for rows (inst, a0)."""
-        a = self.followers(inst, a0, seed)
-        f0 = self.noise0[inst] + (self.to_leader[inst] * a).sum(axis=1)
-        return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), a
+        """Leader utilities and the followers' equilibrium for rows (inst, a0)."""
+        eq = self.followers(inst, a0, seed)
+        f0 = self.noise0[inst] + (self.to_leader[inst] * eq[:, 0]).sum(axis=1)
+        return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), eq
+
+    def gradient(self, inst, a0, eq):
+        """The leader's utility gradient (R, K) at rows (inst, a0), whose
+        followers' equilibrium `eq` came from `evaluate`.
+
+        dU0/da0 + H0^T DR^T lam, with H0 the leader's gains into the
+        followers, DR their block-diagonal response Jacobian, X their cross
+        gains, g = dU0/da_F, and lam the solution of (I - DR X)^T lam = g.
+        """
+        a = eq[:, 0]
+        r, nf, k = a.shape
+        h0, to_leader = self.h0[inst], self.to_leader[inst]
+        f0 = self.noise0[inst] + (to_leader * a).sum(axis=1)
+        total = f0 + h0 * a0
+        g = -to_leader * (h0 * a0 / (f0 * total))[:, None, :]
+        h, lo, hi = self._gains_and_boxes(inst, a.shape)
+        dr = robust_waterfill_jacobian(
+            eq[:, 1].reshape(-1, k), h, lo, hi, a.reshape(-1, k),
+            eq[:, 2].reshape(-1, k)).reshape(r, nf, k, k)
+        # (DR X)[(n, i), (m, j)] = DR_n[i, j] X[n, m, j]
+        couple = dr[:, :, :, None, :] * self.cross[inst][:, :, None, :, :]
+        m = np.eye(nf * k) - couple.reshape(r, nf * k, nf * k)
+        lam = np.linalg.solve(m.transpose(0, 2, 1),
+                              g.reshape(r, nf * k, 1)).reshape(r, nf, k)
+        chained = np.einsum("rnij,rni->rnj", dr, lam)
+        return h0 / total + (self.from_leader[inst] * chained).sum(axis=1)
 
 
 def leader_starts(game, restarts=4, seed=0):
@@ -226,7 +267,7 @@ def respond(game, a0, eps):
     resp = _Response(game, eps)
     b = a0.shape[0]
     seed = np.broadcast_to(game.lo[game.followers], (b,) + resp.lo.shape)
-    return resp.followers(np.arange(b), np.asarray(a0, dtype=float), seed)
+    return resp.followers(np.arange(b), np.asarray(a0, dtype=float), seed)[:, 0]
 
 
 def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
@@ -237,7 +278,10 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
     follower.  The starts are `extra_starts` (each (B, K), e.g. a nominal
     solution continuing into a robust solve), then those of `leader_starts`;
     each runs at most `n_steps` steps.  Per instance the best start wins,
-    the earlier one on a tie.
+    the earlier one on a tie; its residual is the projected gradient's
+    |a0 - P(a0 + grad U0)| over the leader's box and budget.  It vanishes at
+    a smooth optimum, but not at one on a kink of the followers' reaction,
+    where the gradient is that of one piece.
     """
     lead = game.leader
     lo, hi, p = game.lo[lead], game.hi[lead], float(game.budget[lead])
@@ -250,43 +294,38 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
     inst = np.repeat(np.arange(b), s)
     a0 = starts.reshape(b * s, k)
     floors = np.broadcast_to(resp.lo, (b * s,) + resp.lo.shape)
-    val, af = resp.evaluate(inst, a0, floors)
+    val, eq = resp.evaluate(inst, a0, floors)
+    grad = resp.gradient(inst, a0, eq)
     step = np.full(b * s, 0.25 * p)
-    h_fd = _FD_STEP * max(1.0, p)
-    cols = np.arange(k)
     rungs = 0.5 ** np.arange(LADDER)
     live = np.arange(b * s)
     steps = 0
     while live.size and steps < n_steps:
         steps += 1
         n, x = live.size, a0[live]
-        # central differences: 2K candidates per row, in one call
-        pert = np.repeat(x[:, None, :], 2 * k, axis=1)
-        pert[:, 2 * cols, cols] += h_fd
-        pert[:, 2 * cols + 1, cols] -= h_fd
-        rep = np.repeat(live, 2 * k)
-        v, _ = resp.evaluate(inst[rep], np.clip(pert, lo, hi).reshape(-1, k),
-                             af[rep])
-        v = v.reshape(n, 2 * k)
-        grad = (v[:, 2 * cols] - v[:, 2 * cols + 1]) / (2.0 * h_fd)
         # the ladder of trial steps along the gradient, in one call
         trial = step[live][:, None] * rungs
         cand = project_box_budget_batch(
-            (x[:, None, :] + trial[:, :, None] * grad[:, None, :]).reshape(-1, k),
-            lo, hi, p)
+            (x[:, None, :] + trial[:, :, None] * grad[live][:, None, :]
+             ).reshape(-1, k), lo, hi, p)
         rep = np.repeat(live, LADDER)
-        cv, cf = resp.evaluate(inst[rep], cand, af[rep])
+        cv, ceq = resp.evaluate(inst[rep], cand, eq[rep, 0])
         cv = cv.reshape(n, LADDER)
         gain = np.where(cv > val[live][:, None] + 1e-14, cv, -np.inf)
         rung = gain.argmax(axis=1)
         moved = np.isfinite(gain[np.arange(n), rung])
         pick = (np.arange(n) * LADDER + rung)[moved]
         rows = live[moved]
-        a0[rows], val[rows], af[rows] = cand[pick], cv.ravel()[pick], cf[pick]
+        a0[rows], val[rows], eq[rows] = cand[pick], cv.ravel()[pick], ceq[pick]
+        grad[rows] = resp.gradient(inst[rows], a0[rows], eq[rows])
         step[rows] = 4.0 * trial[moved, rung[moved]]
         step[live[~moved]] *= 0.5 ** LADDER
         live = live[step[live] >= _FREEZE * p]
     values = val.reshape(b, s)
     best = np.arange(b) * s + values.argmax(axis=1)
-    return Ascent(actions=a0[best], followers=af[best], values=val[best],
-                  start_values=values, calls=resp.calls, steps=steps)
+    x = a0[best]
+    residuals = np.linalg.norm(
+        x - project_box_budget_batch(x + grad[best], lo, hi, p), axis=1)
+    return Ascent(actions=x, followers=eq[best, 0], values=val[best],
+                  start_values=values, residuals=residuals, calls=resp.calls,
+                  steps=steps)

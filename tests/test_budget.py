@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rsgame as rs
 from rsgame import budget as budget_mod
 from rsgame.budget import (project_box_budget, robust_waterfill_batch,
-                           waterfill_batch)
+                           robust_waterfill_jacobian, waterfill_batch)
 from rsgame.errors import InvalidSpecError, IterationLimitError
 from rsgame.harness.montecarlo import TwoPlayerBatch, follower_response_batch
 
@@ -346,6 +346,134 @@ class TestRobustWaterfillSaddle:
         with pytest.raises(IterationLimitError) as info:
             robust_waterfill_batch(f, h, 0.0, 10.0, 10.0, 1.0)
         assert info.value.last_iterate.shape == (1, 6)
+
+
+# central-difference step of the Jacobian tests
+FD_STEP = 1e-6
+
+
+def _pieces(a, h, lo, hi):
+    """0 on the floor (or a zero gain), 1 strictly inside the box, 2 on the
+    ceiling."""
+    return np.where((h > 0) & (a > lo), np.where(a < hi, 1, 2), 0)
+
+
+def _jacobian_and_differences(f, h, lo, hi, budget, eps):
+    """The kernel's Jacobian at rows f (R, K), its central differences in
+    each f_j (both (R, K, K)), and per row whether every channel keeps its
+    piece across the differences (the row is away from kinks)."""
+    r, k = f.shape
+    h, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), (r, k))
+                 for x in (h, lo, hi))
+    budget, eps = (np.broadcast_to(np.asarray(x, dtype=float), (r,))
+                   for x in (budget, eps))
+    a, t = robust_waterfill_batch(f, h, lo, hi, budget, eps)
+    jac = robust_waterfill_jacobian(f, h, lo, hi, a, t)
+    step = FD_STEP * np.eye(k)
+    moved = np.concatenate([f[:, None] + step, f[:, None] - step], axis=1)
+    rows = [np.repeat(x, 2 * k, axis=0) for x in (h, lo, hi, budget, eps)]
+    am, _ = robust_waterfill_batch(moved.reshape(-1, k), *rows)
+    am = am.reshape(r, 2, k, k)  # row, sign, moved f_j, channel
+    diff = ((am[:, 0] - am[:, 1]) / (2.0 * FD_STEP)).transpose(0, 2, 1)
+    box = [x[:, None, None] for x in (h, lo, hi)]
+    smooth = (_pieces(am, *box)
+              == _pieces(a, h, lo, hi)[:, None, None]).all(axis=(1, 2, 3))
+    return jac, diff, smooth
+
+
+def _relative_error(jac, diff):
+    """Per row, max |J - D| over the largest of max |J|, max |D| and 1 (an
+    entry of order 1/h, for gains of order 1: a row whose channels cancel
+    exactly has J of rounding size and D = 0)."""
+    scale = np.maximum(np.maximum(np.abs(jac).max(axis=(1, 2)),
+                                  np.abs(diff).max(axis=(1, 2))), 1.0)
+    return np.abs(jac - diff).max(axis=(1, 2)) / scale
+
+
+class TestRobustWaterfillJacobian:
+    """da/df of the saddle point against central differences of the kernel,
+    on rows away from kinks, and its one-sided value on a kink."""
+
+    def test_seeded_rows(self):
+        rng = np.random.default_rng(9)
+        n, k_max = 400, 6
+        ks = rng.integers(1, k_max + 1, size=n)
+        f = rng.uniform(0.05, 2.0, size=(n, k_max))
+        h = rng.uniform(0.2, 2.0, size=(n, k_max))
+        h[rng.uniform(size=(n, k_max)) < 0.1] = 0.0
+        lo = np.where(rng.uniform(size=(n, 1)) < 0.5, 0.2, 0.0) * np.ones(k_max)
+        hi = np.where(rng.uniform(size=(n, 1)) < 0.5, 4.0, np.inf) * np.ones(k_max)
+        # pad past each row's K with idle channels (h = 0, floor 0)
+        idle = np.arange(k_max)[None, :] >= ks[:, None]
+        f[idle], h[idle], lo[idle], hi[idle] = 1.0, 0.0, 0.0, np.inf
+        budget = rng.uniform(0.5, 14.0, size=n)
+        eps = np.where(rng.uniform(size=n) < 0.2, 0.0,
+                       rng.uniform(0.0, 1.0, size=n))
+        jac, diff, smooth = _jacobian_and_differences(f, h, lo, hi, budget, eps)
+        assert smooth.sum() >= 0.9 * n
+        assert np.max(_relative_error(jac, diff)[smooth]) <= 1e-6
+        # every piece took part: eps = 0 rows, the cubic's floor and
+        # ceiling channels with u > 0, zero gains and all-pinned rows
+        a, _ = robust_waterfill_batch(f, h, lo, hi, budget, eps)
+        piece = _pieces(a, h, lo, hi)
+        cubic = (piece != 1) & (h * a > 0)
+        assert smooth[eps == 0.0].sum() > 20
+        assert (cubic & (piece == 0))[smooth & (eps > 0)].sum() > 20
+        assert (cubic & (piece == 2))[smooth & (eps > 0)].sum() > 20
+        assert ((h == 0) & ~idle)[smooth].sum() > 20
+        assert (smooth & (piece != 1).all(axis=1)).sum() > 0
+        # a channel with zero gain neither moves nor moves the others
+        zero = h == 0
+        assert np.all(jac.transpose(0, 2, 1)[zero] == 0.0)
+        assert np.all(jac[zero] == 0.0)
+
+    @settings(max_examples=40)
+    @given(saddle_rows())
+    def test_properties(self, row):
+        f, h, lo, hi, budget, eps = row
+        jac, diff, smooth = _jacobian_and_differences(f[None], h[None], lo[None],
+                                                      hi[None], budget, eps)
+        if smooth[0]:
+            assert _relative_error(jac, diff)[0] <= 1e-6
+
+    def test_all_pinned_rows_do_not_move(self):
+        # budgets below the floors, and at or above the sum of the ceilings
+        f = np.array([[0.3, 0.8, 1.5]] * 4)
+        h = np.array([1.0, 0.5, 2.0])
+        lo, hi = np.full(3, 0.2), np.full(3, 4.0)
+        budget = np.array([0.3, 0.3, 12.0, 20.0])
+        eps = np.array([0.0, 0.5, 0.5, 0.5])
+        a, t = robust_waterfill_batch(f, h, lo, hi, budget, eps)
+        assert np.all((a == lo) | (a == hi))
+        assert np.all(robust_waterfill_jacobian(f, h, lo, hi, a, t) == 0.0)
+
+    def test_one_sided_on_a_kink(self):
+        # eps = 0, levels q = f = (0.5, 1.5), budget 1: the level 1.5 puts
+        # channel 1 exactly on its floor.  Raising f_1 keeps it there (no
+        # channel moves); lowering it lets the channel in, a_1 = -df_1 / 2.
+        f = np.array([[0.5, 1.5]])
+        a, t = robust_waterfill_batch(f, 1.0, 0.0, np.inf, 1.0, 0.0)
+        assert np.array_equal(a, [[1.0, 0.0]])
+        jac = robust_waterfill_jacobian(f, 1.0, 0.0, np.inf, a, t)
+        up, _ = robust_waterfill_batch(f + [[0.0, 1e-3]], 1.0, 0.0, np.inf,
+                                       1.0, 0.0)
+        down, _ = robust_waterfill_batch(f - [[0.0, 1e-3]], 1.0, 0.0, np.inf,
+                                         1.0, 0.0)
+        assert np.array_equal(jac[0, :, 1], (up - a)[0] / 1e-3)
+        assert np.array_equal(jac[0], np.zeros((2, 2)))
+        assert (a - down)[0] / 1e-3 == pytest.approx([0.5, -0.5])
+
+    def test_zero_radius_is_the_waterfill_jacobian(self):
+        # on the inner channels da/df = 1/n_inner / h_j - delta_kj / h_k
+        # with h = 1, and zero on and from the pinned channel
+        f = np.array([[0.2, 0.5, 0.9, 3.0]])
+        a, t = robust_waterfill_batch(f, 1.0, 0.0, np.inf, 2.0, 0.0)
+        inner = a[0] > 0
+        assert inner.tolist() == [True, True, True, False]
+        want = np.zeros((4, 4))
+        want[:3, :3] = 1.0 / 3.0 - np.eye(3)
+        jac = robust_waterfill_jacobian(f, 1.0, 0.0, np.inf, a, t)
+        assert np.max(np.abs(jac[0] - want)) <= 1e-15
 
 
 def _follower_spec(h, lo, hi, budget):

@@ -233,8 +233,48 @@ class TestBudgetedLeader:
         res = rs.solve_nse(demo05_spec(1), restarts=3, seed=1)
         assert res.utilities[0] >= 11.0617390 - 1e-9
         notes = res.diagnostics.notes
-        assert notes["engine_calls"] >= 2 * notes["ascent_steps"] > 0
+        # one kernel call for the starts, then one ladder call per step
+        assert notes["engine_calls"] == notes["ascent_steps"] + 1 > 1
         assert notes["start_gap"] >= 0.0
+
+    def test_leader_residual_vanishes_where_the_ascent_converged(self):
+        spec = demo05_spec(1)
+        budget = spec.utility_model.budget[0]
+        for res in (rs.solve_nse(spec, restarts=3, seed=1),
+                    rs.solve_rse1(spec, 0.05, restarts=3, seed=1)):
+            notes = res.diagnostics.notes
+            assert notes["ascent_steps"] < 60  # stopped before the cap
+            assert 0.0 <= notes["leader_residual"] <= 1e-6 * budget
+        # one step from the starts is far from stationary, and says so
+        cut = lockstep.leader_ascent(lockstep.StackedGame.from_spec(spec, 0),
+                                     0.05, restarts=3, seed=1, n_steps=1)
+        assert cut.residuals[0] > 1e-3 * budget
+
+    def test_engine_gradient_matches_differences(self):
+        # the exact leader gradient against central differences of the
+        # engine's own leader utility, for one follower (demo_05's instance)
+        # and two coupled followers, nominal and robust
+        rng = np.random.default_rng(43)
+        k = 3
+        cross = rng.uniform(0.02, 0.1, size=(3, 3, k))
+        cross[1:, 0] = rng.uniform(0.2, 0.6, size=(2, k))
+        three = rs.make_spec(direct=rng.uniform(0.8, 1.6, size=(3, k)),
+                             cross=cross, noise=0.1, leaders=(0,),
+                             action_max=4.0, budget=[3.0, 2.0, 2.5])
+        for spec, a0 in ((demo05_spec(1), np.array([4.0, 3.0, 2.0, 1.0])),
+                         (three, np.array([1.0, 0.7, 0.9]))):
+            game = lockstep.StackedGame.from_spec(spec, 0)
+            n = a0.size
+            step = 1e-6 * np.eye(n)
+            rows = np.vstack([a0, a0 + step, a0 - step])
+            inst = np.zeros(len(rows), dtype=int)
+            for eps in (0.0, 0.05):
+                resp = lockstep._Response(game, eps)
+                seed = np.broadcast_to(resp.lo, (len(rows),) + resp.lo.shape)
+                val, eq = resp.evaluate(inst, rows, seed)
+                diff = (val[1:n + 1] - val[n + 1:]) / 2e-6
+                grad = resp.gradient(inst[:1], a0[None], eq[:1])[0]
+                assert np.max(np.abs(grad - diff)) <= 1e-6 * np.max(np.abs(diff))
 
     def test_three_player_followers_best_respond(self):
         rng = np.random.default_rng(43)

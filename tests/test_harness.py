@@ -310,7 +310,7 @@ class TestMonteCarlo:
                     one = lockstep.leader_ascent(game.select([i]), eps,
                                                  restarts=4)
                     for field in ("actions", "followers", "values",
-                                  "start_values"):
+                                  "start_values", "residuals"):
                         assert np.array_equal(getattr(one, field)[0],
                                               getattr(full, field)[i])
                     if game is boxed or eps > 0.0:
@@ -319,27 +319,29 @@ class TestMonteCarlo:
                     assert np.array_equal(nse.profile.actions[0],
                                           full.actions[i])
 
-    def test_overlap_shrinks_under_robustness_in_tendency(self):
+    def test_channel_counts_grow_under_robustness_in_tendency(self):
+        # the robust follower moves power from its best channels toward
+        # weaker ones: at the best of 32 starts per instance it uses more
+        # channels, and shares more with the leader, on more instances than
+        # fewer (at 2 starts the ascent's local optima can tip either count)
         config = mc_config(ensemble_size=16, n_dims=6)
         batch, gains = batch_from_config(config, 16)
         eps = 1.0
-        a0_n = leader_ascent_batch(batch, 0.0, seed=1, restarts=2)
+        a0_n = leader_ascent_batch(batch, 0.0, seed=1, restarts=32)
         a1_n = follower_response_batch(batch, a0_n, 0.0)
-        a0_r = leader_ascent_batch(batch, eps, seed=1, restarts=2)
+        a0_r = leader_ascent_batch(batch, eps, seed=1, restarts=32)
         a1_r = follower_response_batch(batch, a0_r, eps)
         thr = rs.activity_threshold(10.0, 6)
-        shrank = grew = 0
+        moves = {"follower": [], "common": []}
         for i in range(16):
             before = rs.overlap_stats(np.vstack([a0_n[i], a1_n[i]]), thr)
             after = rs.overlap_stats(np.vstack([a0_r[i], a1_r[i]]), thr)
-            if after.common_sizes[(0, 1)] < before.common_sizes[(0, 1)]:
-                shrank += 1
-            elif after.common_sizes[(0, 1)] > before.common_sizes[(0, 1)]:
-                grew += 1
-        assert shrank >= grew  # statistical tendency, not per instance
-
-
-
+            moves["follower"].append(after.sizes[1] - before.sizes[1])
+            moves["common"].append(after.common_sizes[(0, 1)]
+                                   - before.common_sizes[(0, 1)])
+        for key, change in moves.items():
+            change = np.array(change)
+            assert (change > 0).sum() > (change < 0).sum(), key
 
 
 class TestHeuristicProtocol:

@@ -1,4 +1,5 @@
-"""L0 kernel timings (pytest-benchmark); deselected by default.
+"""L0 kernel timings and one budgeted leader ascent (pytest-benchmark);
+deselected by default.
 
 Run them with `python -m pytest -m bench`.  The states come from the
 budgeted regime (noise 0.01, budget 10 spread over K = 4 subchannels,
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 import rsgame as rs
-from rsgame.budget import robust_waterfill_batch
+from rsgame import lockstep
+from rsgame.budget import robust_waterfill_batch, robust_waterfill_jacobian
+
+from test_equilibria import demo05_spec
 
 H = np.array([0.54, 0.226, 0.279, 0.222])
 A = np.array([4.0, 3.0, 2.0, 1.0])
@@ -36,3 +40,22 @@ def test_robust_waterfill_batch(benchmark, rows):
     a, t = benchmark(robust_waterfill_batch, f, h, 0.0, 10.0, 10.0, EPS)
     assert np.allclose(a.sum(axis=1), 10.0)
     assert np.allclose(np.linalg.norm(t - f, axis=1), EPS, rtol=1e-9)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("rows", [1, 512])
+def test_robust_waterfill_jacobian(benchmark, rows):
+    # the saddle points of the rows above
+    scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(rows, 1))
+    f, h = F * scale, np.broadcast_to(H, (rows, 4))
+    a, t = robust_waterfill_batch(f, h, 0.0, 10.0, 10.0, EPS)
+    jac = benchmark(robust_waterfill_jacobian, f, h, 0.0, 10.0, a, t)
+    assert np.allclose(jac.sum(axis=1), 0.0, atol=1e-9)  # the budget binds
+
+
+@pytest.mark.bench
+def test_leader_ascent_one_instance(benchmark):
+    # the B = 1 call `solve_rse1` makes on demo_05's instance 1
+    game = lockstep.StackedGame.from_spec(demo05_spec(1), 0)
+    ascent = benchmark(lockstep.leader_ascent, game, EPS, restarts=3, seed=1)
+    assert ascent.calls == ascent.steps + 1

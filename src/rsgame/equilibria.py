@@ -34,7 +34,6 @@ from .numerics import box_corners, latin_hypercube, maximize_scalar
 _BOUNDARY_EPS = 1e-9
 _BR_TOL = 1e-13     # the priced robust best response's fixed-point residual
 _BR_ITERS = 300     # and its iterate limit
-_NASH_TOL = 1e-12   # followers' Nash residual, also in the priced leader search
 _LEADER_TOL = 1e-9  # leader action shift that ends that search's sweeps
 
 
@@ -143,7 +142,12 @@ def follower_best_response(spec, player, others, eps):
         raise InvalidSpecError(f"player {player} is not a follower")
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
-    f_nom = game.aggregate_impact(spec, others, player).values
+    return _response(spec, player,
+                     game.aggregate_impact(spec, others, player).values, eps)
+
+
+def _response(spec, player, f_nom, eps):
+    """`follower_best_response` to the nominal impact f_nom (K,)."""
     if spec.is_budgeted:
         return budget_mod.robust_waterfill(spec, player, f_nom, eps,
                                            spec.budget(player))
@@ -178,51 +182,48 @@ def follower_best_response(spec, player, others, eps):
 
 
 def followers_nash(spec, leaders_profile, eps=0.0):
-    """Jacobi best-response iteration of the followers to a fixed point.
+    """Followers' Nash equilibrium against the leaders in `leaders_profile`.
 
-    Follower rows of `leaders_profile` seed the iteration (zeros are fine);
-    leader rows stay frozen.  Stops when every follower's action is within
-    `_NASH_TOL` of its own best response and returns those best responses,
-    so a follower clamped at a bound sits exactly on it.  Convergence is
-    guaranteed when the followers' coupling matrix is a P-matrix; otherwise
-    the loop may hit `lockstep.NASH_SWEEPS` sweeps and raises with the last
-    iterate attached.
+    `lockstep.jacobi` from the profile's follower rows (zeros are fine), to
+    `lockstep.NASH_TOL`: it returns the best responses, so a follower clamped
+    at a bound sits exactly on it.  Its `IterationLimitError` carries the
+    last (N, K) profile.
     """
     unc = robust.coerce_uncertainty(spec, eps=eps)
-    actions, iterations, residual = _followers_fixed_point(
-        spec, leaders_profile, unc, _NASH_TOL)
+    actions, sweeps, res = _followers_fixed_point(spec, leaders_profile, unc)
     kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
-    return _make_result(kind, spec, actions, iterations=iterations,
-                        residual=residual)
+    return _make_result(kind, spec, actions, iterations=sweeps, residual=res)
 
 
-def _followers_fixed_point(spec, leaders_profile, unc, tol):
-    """`followers_nash`'s iteration to `tol`: (actions, sweeps, residual)."""
+def _followers_fixed_point(spec, leaders_profile, unc):
+    """`followers_nash`'s one `lockstep.jacobi` row: (actions, sweeps, res)."""
     actions = game.as_actions(leaders_profile).copy()
-    followers = list(spec.followers)
-    if not followers:
+    fol = list(spec.followers)
+    if not fol:
         return actions, 0, 0.0
-    damping = 1.0
-    prev_res = np.inf
-    for it in range(1, lockstep.NASH_SWEEPS + 1):
-        responses = {n: follower_best_response(spec, n, actions, unc.obs_radius[n])
-                     for n in followers}
-        res = max(float(np.max(np.abs(responses[n] - actions[n])))
-                  for n in followers)
-        if res < tol:
-            for n in followers:
-                actions[n] = responses[n]
-            return actions, it, res
-        if res > prev_res:  # oscillation: damp the Jacobi update
-            damping = max(0.25, damping * 0.5)
-        prev_res = res
-        for n in followers:
-            actions[n] = (1.0 - damping) * actions[n] + damping * responses[n]
-    raise IterationLimitError(
-        f"followers' Nash iteration did not converge in "
-        f"{lockstep.NASH_SWEEPS} sweeps (coupling may violate the P-matrix "
-        "uniqueness condition)",
-        last_iterate=actions, residual=res)
+    if len(fol) == 1:  # nothing to gather: `jacobi` responds once
+        base, cross = game.aggregate_impact(spec, actions, *fol).values, None
+    else:
+        fixed = actions.copy()
+        fixed[fol] = 0.0
+        base = game.all_impacts(spec, fixed)[fol]
+        cross = (spec.cross_gain[np.ix_(fol, fol)]
+                 * (1.0 - np.eye(len(fol)))[..., None])[None]
+
+    def respond(f, rows):
+        return np.stack([_response(spec, n, f[0, i], unc.obs_radius[n])
+                         for i, n in enumerate(fol)])[None, None]
+
+    try:
+        eq, sweeps, residual = lockstep.jacobi(
+            respond, base.reshape(1, len(fol), -1), cross, actions[None, fol])
+    except IterationLimitError as exc:
+        if np.ndim(exc.last_iterate) == 3:  # the sweeps', not a response's
+            actions[fol] = exc.last_iterate[0]
+            exc.last_iterate = actions
+        raise
+    actions[fol] = eq[0, 0]
+    return actions, sweeps, float(residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +251,9 @@ def _bilevel_priced(model_spec, unc, leader):
     floats and their clamped side is kept, so a follower switched off at a
     kink is returned exactly on its bound.  Exact for K = 1; for K > 1 the
     search is coordinate-wise, in cyclic sweeps until the leader's action
-    moves less than `_LEADER_TOL`.  The followers' Nash solves stop at
-    `_NASH_TOL`, each seeded with the previous solve's profile (the box
-    floors at first).
+    moves less than `_LEADER_TOL`.  Each leader evaluation solves the
+    followers' Nash equilibrium (`_followers_fixed_point`), seeded with the
+    previous solve's profile (the box floors at first).
     """
     lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
     followers = list(model_spec.followers)
@@ -264,7 +265,7 @@ def _bilevel_priced(model_spec, unc, leader):
         """Believed leader utility and the followers' actions."""
         seed = cache["profile"].copy()
         seed[leader] = a0_row
-        prof, _, _ = _followers_fixed_point(model_spec, seed, unc, _NASH_TOL)
+        prof, _, _ = _followers_fixed_point(model_spec, seed, unc)
         cache["profile"] = prof.copy()
         f0 = game.aggregate_impact(model_spec, prof, leader).values
         return game.utility(model_spec, leader, a0_row, f0), prof[followers]

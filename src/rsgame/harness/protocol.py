@@ -16,7 +16,6 @@ from ..budget import project_box_budget
 from ..numerics import maximize_scalar
 
 # `cooperative_leaders_nse`
-_NASH_TOL = 1e-11  # the followers' Nash residual
 _LEADER_TOL = 1e-9  # leader action shift that ends an ascent
 _MAX_SWEEPS = 80   # sweeps per ascent
 
@@ -125,9 +124,10 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
     random restarts; budgeted leaders keep their own sum-power feasibility via
     projection after every sweep.  An ascent stops once a sweep moves no
     leader action by `_LEADER_TOL`, or after `_MAX_SWEEPS` sweeps.  The
-    followers' equilibrium is re-solved (to `_NASH_TOL`) at every objective
-    evaluation, so a non-certified followers' game can make this expensive;
-    the result notes whether ascent stalled.
+    followers' equilibrium is re-solved (`equilibria.followers_nash`'s
+    iteration) at every objective evaluation, so a non-certified followers'
+    game can make this expensive.  Reports the winning ascent's sweeps and
+    the followers' Nash residual; notes whether that ascent stalled.
     """
     leaders = list(spec.leaders)
     if not leaders:
@@ -141,19 +141,18 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
         seed_prof = cache["profile"].copy()
         for i, n in enumerate(leaders):
             seed_prof[n] = actions_leaders[i]
-        prof, _, _ = equilibria._followers_fixed_point(
-            spec, seed_prof, unc, _NASH_TOL)
+        prof, _, res = equilibria._followers_fixed_point(spec, seed_prof, unc)
         cache["profile"] = prof.copy()
         total = 0.0
         for n in leaders:
             f_n = game.aggregate_impact(spec, prof, n).values
             total += game.utility(spec, n, prof[n], f_n)
-        return total, prof
+        return total, prof, res
 
     def ascend(a_l):
-        value, _ = social_of_leaders(a_l)
+        social_of_leaders(a_l)  # seeds the followers' iteration
         converged = False
-        for _ in range(_MAX_SWEEPS):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             shift = 0.0
             for i, n in enumerate(leaders):
                 for k in range(spec.n_dims):
@@ -174,8 +173,8 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
             if shift < _LEADER_TOL:
                 converged = True
                 break
-        value, prof = social_of_leaders(a_l)
-        return a_l, value, prof, converged
+        value, prof, residual = social_of_leaders(a_l)
+        return a_l, value, prof, converged, sweeps, residual
 
     best = None
     for r in range(max(restarts, 1)):
@@ -188,11 +187,10 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
             if spec.is_budgeted:
                 for i, n in enumerate(leaders):
                     a_l[i] = project_box_budget(a_l[i], lo[n], hi[n], spec.budget(n))
-        a_l, value, prof, converged = ascend(a_l)
-        if best is None or value > best[1]:
-            best = (a_l, value, prof, converged)
-    a_l, value, prof, converged = best
+        outcome = ascend(a_l)
+        if best is None or outcome[1] > best[1]:
+            best = outcome
+    a_l, value, prof, converged, sweeps, residual = best
     return equilibria._make_result(
-        "NSE", spec, prof, iterations=max(restarts, 1),
-        residual=0.0 if converged else np.inf,
+        "NSE", spec, prof, iterations=sweeps, residual=residual,
         notes={"leaders_social": value, "certified_ascent": converged})

@@ -5,8 +5,8 @@ A `StackedGame` holds B instances of one budgeted game shape: gains
 of the one leader; every other player follows.  The followers' response to
 a leader action is their Nash equilibrium, each follower playing its robust
 waterfill against its aggregate impact (`budget.robust_waterfill_batch`):
-with one follower that is one kernel call over all rows, with several a
-Jacobi sweep that makes one kernel call over rows x followers per sweep.
+one kernel call over all rows with one follower, with several one call over
+rows x followers per sweep of `jacobi`, the Nash iteration of every solver.
 
 `leader_ascent` is a projected gradient ascent of every leader from several
 starts, all (instance, start) rows in lockstep.  Each step makes one
@@ -42,10 +42,8 @@ from .errors import IterationLimitError
 LADDER = 6
 # freezing step, relative to the leader's budget
 _FREEZE = 1e-10
-# followers' Jacobi sweep: its residual (the priced leader search and
-# `equilibria.followers_nash` stop at 1e-12, the cooperative leaders of
-# `harness.protocol` at 1e-11) and its sweep limit, shared with followers_nash
-_NASH_TOL = 1e-11
+# the followers' Nash iteration (`jacobi`): its residual and sweep limit
+NASH_TOL = 1e-12
 NASH_SWEEPS = 500
 
 
@@ -118,10 +116,8 @@ class _Response:
         g = np.asarray(game.gains, dtype=float)
         self.h = g[:, fol, fol, :]                    # (B, Nf, K)
         self.from_leader = g[:, fol, lead, :]
-        cross = g[:, fol][:, :, fol].copy()           # (B, Nf, Nf, K)
-        idx = np.arange(len(fol))
-        cross[:, idx, idx, :] = 0.0
-        self.cross = cross
+        self.cross = (g[:, fol][:, :, fol]             # (B, Nf, Nf, K)
+                      * (1.0 - np.eye(len(fol)))[..., None])
         self.noise = game.noise[:, fol]
         self.lo, self.hi = game.lo[fol], game.hi[fol]
         self.budget = np.asarray(game.budget, dtype=float)[fol]
@@ -151,48 +147,12 @@ class _Response:
         return np.stack([alloc.reshape(f.shape), f, worst.reshape(f.shape)],
                         axis=1)
 
-    def followers(self, inst, a0, seed):
-        """Followers' equilibrium (R, 3, Nf, K) against leader actions a0 (R, K).
-
-        One follower responds in one kernel call.  Several run the Jacobi
-        iteration of `equilibria.followers_nash` from `seed` (R, Nf, K), row
-        by row: a row stops once every follower is within `_NASH_TOL` of its
-        response and returns the responses; a sweep whose residual grew
-        halves the row's damping, down to 1/4.
-        """
-        base = self.noise[inst] + self.from_leader[inst] * a0[:, None, :]
-        if base.shape[1] <= 1:
-            return (self._kernel(base, inst) if base.shape[1]
-                    else np.stack([base] * 3, axis=1))
-        out = np.empty((base.shape[0], 3) + base.shape[1:])
-        a = np.array(seed, dtype=float)
-        rows = np.arange(a.shape[0])
-        damping = np.ones(rows.size)
-        prev = np.full(rows.size, np.inf)
-        for _ in range(NASH_SWEEPS):
-            f = base[rows] + np.einsum("rnmk,rmk->rnk",
-                                       self.cross[inst[rows]], a[rows])
-            eq = self._kernel(f, inst[rows])
-            res = np.abs(eq[:, 0] - a[rows]).max(axis=(1, 2))
-            done = res < _NASH_TOL
-            out[rows[done]] = eq[done]
-            live = ~done
-            rows, resp, res = rows[live], eq[live, 0], res[live]
-            if rows.size == 0:
-                return out
-            damping = np.where(res > prev[live], np.maximum(
-                0.25, 0.5 * damping[live]), damping[live])
-            prev = res
-            d = damping[:, None, None]
-            a[rows] = (1.0 - d) * a[rows] + d * resp
-        raise IterationLimitError(
-            f"followers' Nash iteration did not converge in {NASH_SWEEPS} "
-            "sweeps (coupling may violate the P-matrix uniqueness condition)",
-            last_iterate=a, residual=float(res.max()))
-
     def evaluate(self, inst, a0, seed):
         """Leader utilities and the followers' equilibrium for rows (inst, a0)."""
-        eq = self.followers(inst, a0, seed)
+        base = self.noise[inst] + self.from_leader[inst] * a0[:, None, :]
+        eq = (jacobi(lambda f, rows: self._kernel(f, inst[rows]), base,
+                     self.cross[inst], seed)[0] if base.shape[1]
+              else np.stack([base] * 3, axis=1))
         f0 = self.noise0[inst] + (self.to_leader[inst] * eq[:, 0]).sum(axis=1)
         return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), eq
 
@@ -221,6 +181,45 @@ class _Response:
                               g.reshape(r, nf * k, 1)).reshape(r, nf, k)
         chained = np.einsum("rnij,rni->rnj", dr, lam)
         return h0 / total + (self.from_leader[inst] * chained).sum(axis=1)
+
+
+def jacobi(respond, base, cross, seed):
+    """Followers' Nash equilibrium by damped Jacobi sweeps, row by row.
+
+    base (R, Nf, K): the followers' impacts from all but them; cross (R, Nf,
+    Nf, K): their cross gains, zero diagonal; `respond(f, rows)` stacks the
+    responses to impacts f of `rows`, actions in [:, 0].  From `seed`, a row
+    stops once every follower is within `NASH_TOL` of its response and
+    returns the responses; a sweep whose residual grew halves its damping,
+    down to 1/4.  A lone follower, whose impact its own action cannot move,
+    responds once.  Returns (stack, sweeps, per-row residual).
+    """
+    rows = np.arange(base.shape[0])
+    if base.shape[1] == 1:
+        return respond(base, rows), 1, np.zeros(rows.size)
+    a, residual = np.array(seed, dtype=float), np.empty(rows.size)
+    damping, prev = np.ones(rows.size), np.full(rows.size, np.inf)
+    for sweep in range(1, NASH_SWEEPS + 1):
+        f = base[rows] + np.einsum("rnmk,rmk->rnk", cross[rows], a[rows])
+        eq = respond(f, rows)
+        res = np.abs(eq[:, 0] - a[rows]).max(axis=(1, 2))
+        if sweep == 1:
+            out = np.empty((rows.size,) + eq.shape[1:])
+        done = res < NASH_TOL
+        out[rows[done]], residual[rows[done]] = eq[done], res[done]
+        live = ~done
+        rows, resp, res = rows[live], eq[live, 0], res[live]
+        if rows.size == 0:
+            return out, sweep, residual
+        damping = np.where(res > prev[live], np.maximum(
+            0.25, 0.5 * damping[live]), damping[live])
+        prev = res
+        d = damping[:, None, None]
+        a[rows] = (1.0 - d) * a[rows] + d * resp
+    raise IterationLimitError(
+        f"followers' Nash iteration did not converge in {NASH_SWEEPS} "
+        "sweeps (coupling may violate the P-matrix uniqueness condition)",
+        last_iterate=a, residual=float(res.max()))
 
 
 def leader_starts(game, restarts=4, seed=0):
@@ -267,7 +266,7 @@ def respond(game, a0, eps):
     resp = _Response(game, eps)
     b = a0.shape[0]
     seed = np.broadcast_to(game.lo[game.followers], (b,) + resp.lo.shape)
-    return resp.followers(np.arange(b), np.asarray(a0, dtype=float), seed)[:, 0]
+    return resp.evaluate(np.arange(b), np.asarray(a0, float), seed)[1][:, 0]
 
 
 def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,

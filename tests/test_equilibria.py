@@ -92,8 +92,26 @@ class TestFollowersNash:
         res = rs.followers_nash(e1_spec, start)
         assert res.kind == "NE"
         assert res.profile.actions[1] == pytest.approx([1.4], abs=1e-10)
-        assert res.diagnostics.iterations <= 3
+        assert res.diagnostics.iterations == 1
         assert res.diagnostics.residual < 1e-10
+
+    def test_lone_follower_responds_once(self, e1_spec, monkeypatch):
+        # its impact does not move with its own action, so a second sweep
+        # would only repeat the first response
+        calls = []
+        respond = equilibria._response
+
+        def counted(*args):
+            calls.append(args)
+            return respond(*args)
+
+        monkeypatch.setattr(equilibria, "_response", counted)
+        for eps in (0.0, 0.1):
+            calls.clear()
+            res = rs.followers_nash(e1_spec, np.array([[1.0], [0.0]]), eps=eps)
+            assert len(calls) == 1
+            assert res.diagnostics.iterations == 1
+            assert res.diagnostics.residual == 0.0
 
     def test_symmetric_pair_hand_fixed_point(self):
         spec = symmetric_followers_spec(0.2)
@@ -131,12 +149,30 @@ class TestFollowersNash:
         assert res.diagnostics.residual == 0.0
 
     def test_iteration_limit_error_carries_iterate(self, monkeypatch):
-        spec = symmetric_followers_spec(0.2)
         monkeypatch.setattr(lockstep, "NASH_SWEEPS", 1)
-        with pytest.raises(IterationLimitError) as exc_info:
-            rs.followers_nash(spec, np.zeros((2, 1)))
-        assert exc_info.value.last_iterate is not None
-        assert exc_info.value.residual > 0
+        led = random_priced_multi_follower(np.random.default_rng(5))
+        for spec in (symmetric_followers_spec(0.2), led):
+            start = np.zeros((spec.n_players, 1))
+            start[list(spec.leaders)] = 0.7
+            with pytest.raises(IterationLimitError) as exc_info:
+                rs.followers_nash(spec, start)
+            # the whole (N, K) profile, the leaders' rows as they were given
+            last = exc_info.value.last_iterate
+            assert last.shape == (spec.n_players, 1)
+            assert np.array_equal(last[list(spec.leaders)],
+                                  start[list(spec.leaders)])
+            assert exc_info.value.residual > 0
+
+    def test_a_response_error_passes_as_it_is(self, monkeypatch):
+        def fail(spec, player, f_nom, eps):
+            raise IterationLimitError("response", last_iterate=np.ones(1),
+                                      residual=1.0)
+
+        monkeypatch.setattr(equilibria, "_response", fail)
+        for spec in (build_e1_spec(), symmetric_followers_spec(0.2)):
+            with pytest.raises(IterationLimitError, match="response") as exc:
+                rs.followers_nash(spec, np.zeros((2, 1)))
+            assert np.array_equal(exc.value.last_iterate, np.ones(1))
 
     def test_fixed_point_helper_equals_the_result(self):
         # the leader searches call the iteration without building a result
@@ -150,7 +186,7 @@ class TestFollowersNash:
             for eps in ((0.0,) if k > 1 else (0.0, 0.03)):
                 unc = robust.coerce_uncertainty(spec, eps=eps)
                 actions, sweeps, residual = equilibria._followers_fixed_point(
-                    spec, profile, unc, equilibria._NASH_TOL)
+                    spec, profile, unc)
                 full = rs.followers_nash(spec, profile, eps=eps)
                 assert np.array_equal(actions, full.profile.actions)
                 assert sweeps == full.diagnostics.iterations
@@ -225,6 +261,17 @@ def demo05_spec(instance):
     return config.to_spec(channels.generate_channels(config, instance))
 
 
+def three_player_budgeted_spec():
+    """One budgeted leader heard clearly by two coupled followers, K = 3."""
+    rng = np.random.default_rng(43)
+    k = 3
+    cross = rng.uniform(0.02, 0.1, size=(3, 3, k))
+    cross[1:, 0] = rng.uniform(0.2, 0.6, size=(2, k))
+    return rs.make_spec(direct=rng.uniform(0.8, 1.6, size=(3, k)),
+                        cross=cross, noise=0.1, leaders=(0,), action_max=4.0,
+                        budget=[3.0, 2.0, 2.5])
+
+
 class TestBudgetedLeader:
     def test_ceiling_start_reaches_the_optimum(self):
         # the leader's optimum of this instance lies in the basin of the
@@ -254,15 +301,9 @@ class TestBudgetedLeader:
         # the exact leader gradient against central differences of the
         # engine's own leader utility, for one follower (demo_05's instance)
         # and two coupled followers, nominal and robust
-        rng = np.random.default_rng(43)
-        k = 3
-        cross = rng.uniform(0.02, 0.1, size=(3, 3, k))
-        cross[1:, 0] = rng.uniform(0.2, 0.6, size=(2, k))
-        three = rs.make_spec(direct=rng.uniform(0.8, 1.6, size=(3, k)),
-                             cross=cross, noise=0.1, leaders=(0,),
-                             action_max=4.0, budget=[3.0, 2.0, 2.5])
         for spec, a0 in ((demo05_spec(1), np.array([4.0, 3.0, 2.0, 1.0])),
-                         (three, np.array([1.0, 0.7, 0.9]))):
+                         (three_player_budgeted_spec(),
+                          np.array([1.0, 0.7, 0.9]))):
             game = lockstep.StackedGame.from_spec(spec, 0)
             n = a0.size
             step = 1e-6 * np.eye(n)
@@ -277,13 +318,7 @@ class TestBudgetedLeader:
                 assert np.max(np.abs(grad - diff)) <= 1e-6 * np.max(np.abs(diff))
 
     def test_three_player_followers_best_respond(self):
-        rng = np.random.default_rng(43)
-        k = 3
-        cross = rng.uniform(0.02, 0.1, size=(3, 3, k))
-        cross[1:, 0] = rng.uniform(0.2, 0.6, size=(2, k))
-        spec = rs.make_spec(direct=rng.uniform(0.8, 1.6, size=(3, k)),
-                            cross=cross, noise=0.1, leaders=(0,),
-                            action_max=4.0, budget=[3.0, 2.0, 2.5])
+        spec = three_player_budgeted_spec()
         stacked = lockstep.StackedGame.from_spec(spec, 0)
         for eps, res in ((0.0, rs.solve_nse(spec, restarts=4)),
                          (0.05, rs.solve_rse1(spec, 0.05, restarts=4))):
@@ -293,7 +328,7 @@ class TestBudgetedLeader:
                 assert np.max(np.abs(br - a[n])) <= 1e-9
             # the engine's Jacobi sweep reaches the same equilibrium
             engine = lockstep.respond(stacked, a[None, 0], eps)[0]
-            assert np.max(np.abs(engine - a[1:])) <= 1e-9
+            assert np.array_equal(engine, a[1:])
 
 
 class TestLeaderCrushesFollower:

@@ -15,8 +15,10 @@ from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
                             demote_to_single_leader, generate_channels,
                             heuristic_leader_selection, load_rows,
                             monte_carlo_cdf, run_experiment, solve_instance)
+from rsgame.harness import protocol
 from rsgame.harness.montecarlo import leader_ascent_batch, follower_response_batch
 
+from conftest import random_priced_multi_follower
 from ensembles import heuristic_protocol_spec
 
 
@@ -383,6 +385,15 @@ class TestHeuristicProtocol:
         assert after > before
 
 
+def two_leaders_one_follower_spec():
+    """Two priced leaders and one follower, K = 1, moderate coupling."""
+    rng = np.random.default_rng(15)
+    cross = rng.uniform(0.05, 0.3, size=(3, 3, 1))
+    return rs.make_spec(direct=rng.uniform(0.8, 1.5, size=(3, 1)),
+                        cross=cross, noise=0.2, leaders=(0, 1),
+                        action_max=6.0, price=[0.6, 0.7, 0.5])
+
+
 class TestCooperativeLeaders:
     def test_single_leader_degenerates_to_nse(self, e1_spec):
         res = cooperative_leaders_nse(e1_spec, restarts=1)
@@ -400,12 +411,21 @@ class TestCooperativeLeaders:
         assert res.profile.actions[1, 0] == pytest.approx(2.0 - 0.1, abs=1e-6)
 
     def test_follower_uncertainty_raises_leaders_social(self):
-        rng = np.random.default_rng(15)
-        cross = rng.uniform(0.05, 0.3, size=(3, 3, 1))
-        spec = rs.make_spec(direct=rng.uniform(0.8, 1.5, size=(3, 1)),
-                            cross=cross, noise=0.2, leaders=(0, 1),
-                            action_max=6.0, price=[0.6, 0.7, 0.5])
+        spec = two_leaders_one_follower_spec()
         base = cooperative_leaders_nse(spec, eps=0.0, restarts=2)
         robust = cooperative_leaders_nse(spec, eps=0.08, restarts=2)
         social = lambda res: sum(res.utilities[n] for n in (0, 1))
         assert social(robust) >= social(base) - 1e-9
+
+    def test_diagnostics_report_the_followers_residual_and_the_sweeps(self):
+        two = random_priced_multi_follower(np.random.default_rng(3))
+        for spec, eps in ((two_leaders_one_follower_spec(), 0.08), (two, 0.0)):
+            res = cooperative_leaders_nse(spec, eps=eps, restarts=2)
+            diag = res.diagnostics
+            assert np.isfinite(diag.residual) and diag.residual < 1e-10
+            assert diag.notes["certified_ascent"]
+            assert 1 <= diag.iterations < protocol._MAX_SWEEPS
+            actions = res.profile.actions
+            for n in spec.followers:
+                br = rs.follower_best_response(spec, n, actions, eps)
+                assert np.max(np.abs(br - actions[n])) < 1e-10

@@ -1,7 +1,7 @@
-"""L0 kernel timings and one budgeted leader ascent (pytest-benchmark);
-deselected by default.
+"""L0 kernel timings, followers' Nash solves and one budgeted leader ascent
+(pytest-benchmark); deselected by default.
 
-Run them with `python -m pytest -m bench`.  The states come from the
+Run them with `python -m pytest -m bench`.  The kernel states come from the
 budgeted regime (noise 0.01, budget 10 spread over K = 4 subchannels,
 eps 0.05), cut to their first K dimensions for K = 1 and 2.
 """
@@ -13,7 +13,8 @@ import rsgame as rs
 from rsgame import lockstep
 from rsgame.budget import robust_waterfill_batch, robust_waterfill_jacobian
 
-from test_equilibria import demo05_spec
+from conftest import random_priced_multi_follower, random_priced_two_player
+from test_equilibria import demo05_spec, three_player_budgeted_spec
 
 H = np.array([0.54, 0.226, 0.279, 0.222])
 A = np.array([4.0, 3.0, 2.0, 1.0])
@@ -59,3 +60,33 @@ def test_leader_ascent_one_instance(benchmark):
     game = lockstep.StackedGame.from_spec(demo05_spec(1), 0)
     ascent = benchmark(lockstep.leader_ascent, game, EPS, restarts=3, seed=1)
     assert ascent.calls == ascent.steps + 1
+
+
+def _led(spec, a0):
+    """Leader 0 at a0, the followers at zero (the iteration's seed)."""
+    profile = np.zeros((spec.n_players, spec.n_dims))
+    profile[0] = a0
+    return profile
+
+
+def _nash_cases():
+    """(spec, profile, eps) per followers' Nash timing."""
+    one = random_priced_two_player(np.random.default_rng(0))
+    two = random_priced_multi_follower(np.random.default_rng(1))
+    three = three_player_budgeted_spec()
+    return {"priced-1f": (one, _led(one, 1.0), 0.0),
+            "priced-2f": (two, _led(two, 1.0), 0.0),
+            "priced-2f-robust": (two, _led(two, 1.0), 0.04),
+            "budgeted-2f": (three, _led(three, [1.0, 0.7, 0.9]), 0.0)}
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("case", sorted(_nash_cases()))
+def test_followers_nash(benchmark, case):
+    # priced, K = 1: a lone follower (one response) and two coupled
+    # followers (Jacobi sweeps, nominal and robust); the budgeted three-player
+    # game of the equilibria tests (one robust waterfill per follower a sweep)
+    spec, profile, eps = _nash_cases()[case]
+    res = benchmark(rs.followers_nash, spec, profile, eps)
+    assert res.diagnostics.residual < 1e-12
+    assert (res.diagnostics.iterations == 1) == (len(spec.followers) == 1)

@@ -14,18 +14,36 @@ import numpy as np
 import rsgame as rs
 from rsgame.harness import cooperative_leaders_nse, heuristic_leader_selection
 
-# two leaders (0, 1) and one follower (2); leader 0 has a weak direct channel
-# but brutal outgoing interference: the classic candidate
-rng = np.random.default_rng(5)
-k = 2
+# two leaders (0, 1) and one follower (2); leader 0 has brutal outgoing
+# interference and weak incoming gains: the classic candidate.  Prices are
+# calibrated so that every player has an interior optimum: each other
+# player's at a target action against leader 0's target, and leader 0's from
+# its bi-level first-order condition through the others' affine reactions.
+rng = np.random.default_rng(7)
+k, sigma = 2, 1.5
 cross = rng.uniform(0.003, 0.012, size=(3, 3, k))
 for p in (1, 2):
     cross[p, 0] = rng.uniform(1.5, 2.5, size=k)
     cross[0, p] = rng.uniform(0.02, 0.06, size=k)
 direct = rng.uniform(1.0, 1.6, size=(3, k))
-a_max = np.array([[1.2] * k, [1.6] * k, [1.6] * k])
-price = np.array([0.08, 0.5, 0.55])
-spec = rs.make_spec(direct=direct, cross=cross, noise=1.5, leaders=(0, 1),
+a0_t = float(rng.uniform(0.5, 0.8)) * 1.2  # leader 0's target, box [0, 1.2]
+a_max = np.full((3, k), 1.2)
+price = np.empty(3)
+for p in (1, 2):
+    a_t = float(rng.uniform(0.4, 0.7))
+    f_t = sigma + cross[p, 0] * a0_t
+    price[p] = float(np.mean(direct[p] / (f_t + direct[p] * a_t)))
+    # headroom: the reaction stays unclamped even if leader 0 goes silent
+    a_max[p] = a_t + float(np.max(cross[p, 0] * a0_t / direct[p])) + 0.4
+f0, slope = sigma, 0.0
+for p in (1, 2):
+    a_p = np.mean(1.0 / price[p]
+                  - (sigma + np.mean(cross[p, 0]) * a0_t) / direct[p])
+    f0 += np.mean(cross[0, p]) * a_p
+    slope -= np.mean(cross[0, p]) * np.mean(cross[p, 0]) / np.mean(direct[p])
+h0 = float(np.mean(direct[0]))
+price[0] = h0 / (f0 + h0 * a0_t) - slope * h0 * a0_t / (f0 * (f0 + h0 * a0_t))
+spec = rs.make_spec(direct=direct, cross=cross, noise=sigma, leaders=(0, 1),
                     action_max=a_max, price=price)
 
 selection = heuristic_leader_selection(spec, delta_per_leader=0.3)

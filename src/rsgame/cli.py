@@ -145,8 +145,7 @@ def _cmd_heuristic(config, args):
     spec, _ = _instance_spec(config)
     delta = args.delta if args.delta is not None else (
         max(config.delta_grid) if max(config.delta_grid) > 0 else 0.05)
-    selection = heuristic_leader_selection(
-        spec, delta, restarts=config.restarts, seed=config.rng_seed)
+    selection = heuristic_leader_selection(spec, delta)
     for rep in selection.reports:
         print(f"candidate {rep.candidate}: C7 {rep.c7_all}  C8 {rep.c8_all}")
     if selection.no_eligible_leader:

@@ -10,10 +10,12 @@ The bi-level solvers come in three flavours sharing one engine:
 
 The leader's search depends on the utility model.  Priced games split each
 leader coordinate at the followers' reaction kinks and maximize every
-piece.  Budgeted games run the lockstep leader engine (`rsgame.lockstep`)
-with one instance, the same engine the Monte Carlo pipeline runs on whole
-ensembles; `diagnostics.notes` records its kernel calls, its ascent steps
-and the gap between the best and the runner-up start's leader value.
+piece; the same search, over every leader's coordinates, serves the
+cooperative leaders of `harness.protocol`.  Budgeted games run the lockstep
+leader engine (`rsgame.lockstep`) with one instance, the same engine the
+Monte Carlo pipeline runs on whole ensembles; `diagnostics.notes` records
+its kernel calls, its ascent steps and the gap between the best and the
+runner-up start's leader value.
 
 Utilities reported in an EquilibriumResult are always realized values:
 evaluated at the true parameters and nominal observations.
@@ -34,7 +36,8 @@ from .numerics import box_corners, latin_hypercube, maximize_scalar
 _BOUNDARY_EPS = 1e-9
 _BR_TOL = 1e-13     # the priced robust best response's fixed-point residual
 _BR_ITERS = 300     # and its iterate limit
-_LEADER_TOL = 1e-9  # leader action shift that ends that search's sweeps
+_LEADER_TOL = 1e-9  # leader action shift that ends the priced search's sweeps
+_LEADER_SWEEPS = 60  # and its sweep limit
 
 
 @dataclass(frozen=True)
@@ -238,46 +241,55 @@ def _single_leader(spec):
     return spec.leaders[0]
 
 
-def _bilevel_priced(model_spec, unc, leader):
-    """Maximize the leader's believed utility with follower Nash embedded.
+def _bilevel_priced(model_spec, unc, leaders, start=None):
+    """Maximize the leaders' summed believed utility with follower Nash embedded.
 
-    Along one leader coordinate the followers' reaction is piecewise smooth:
-    each piece keeps a fixed set of follower actions clamped at a box bound,
-    and the pieces meet at kinks where a follower action reaches its floor or
-    ceiling.  The leader utility need not be unimodal across a kink
+    The search is coordinate-wise over every (leader, dimension) coordinate
+    of the `leaders` (a list of player indices).
+    Along one coordinate the followers' reaction is piecewise smooth: each
+    piece keeps a fixed set of follower actions clamped at a box bound, and
+    the pieces meet at kinks where a follower action reaches its floor or
+    ceiling.  The leaders' utility need not be unimodal across a kink
     (crushing a follower can beat coexisting with it), so each coordinate
     search locates the kinks, maximizes on every piece and keeps the best of
     the piece optima and the piece ends.  Kinks are located to adjacent
     floats and their clamped side is kept, so a follower switched off at a
-    kink is returned exactly on its bound.  Exact for K = 1; for K > 1 the
-    search is coordinate-wise, in cyclic sweeps until the leader's action
-    moves less than `_LEADER_TOL`.  Each leader evaluation solves the
-    followers' Nash equilibrium (`_followers_fixed_point`), seeded with the
-    previous solve's profile (the box floors at first).
+    kink is returned exactly on its bound.  Exact for one coordinate (one
+    leader, K = 1); otherwise cyclic sweeps from `start` (the box floors by
+    default) until a sweep moves no leader action by `_LEADER_TOL`, at most
+    `_LEADER_SWEEPS` of them.  Each evaluation solves the followers' Nash
+    equilibrium (`_followers_fixed_point`), seeded with the previous solve's
+    profile (the box floors at first).
+
+    Returns the (L, K) actions, the value reached, the sweeps and whether
+    the last sweep converged.
     """
-    lo, hi = model_spec.action_min[leader], model_spec.action_max[leader]
+    lo, hi = model_spec.action_min, model_spec.action_max
     followers = list(model_spec.followers)
     f_min = model_spec.action_min[followers]
     f_max = model_spec.action_max[followers]
     cache = {"profile": model_spec.action_min.copy()}
 
-    def leader_value(a0_row):
-        """Believed leader utility and the followers' actions."""
+    def leaders_value(a_l):
+        """Summed believed leader utility and the followers' actions."""
         seed = cache["profile"].copy()
-        seed[leader] = a0_row
+        seed[leaders] = a_l
         prof, _, _ = _followers_fixed_point(model_spec, seed, unc)
         cache["profile"] = prof.copy()
-        f0 = game.aggregate_impact(model_spec, prof, leader).values
-        return game.utility(model_spec, leader, a0_row, f0), prof[followers]
+        total = sum(game.utility(model_spec, n, a_l[i],
+                                 game.aggregate_impact(model_spec, prof, n).values)
+                    for i, n in enumerate(leaders))
+        return total, prof[followers]
 
-    def coordinate_search(a0, k):
+    def coordinate_search(a_l, i, k):
         memo = {}
+        x_lo, x_hi = lo[leaders[i], k], hi[leaders[i], k]
 
         def evaluate(x):
             if x not in memo:
-                row = a0.copy()
-                row[k] = x
-                memo[x] = leader_value(row)
+                trial = a_l.copy()
+                trial[i, k] = x
+                memo[x] = leaders_value(trial)
             return memo[x]
 
         def value(x):
@@ -287,13 +299,13 @@ def _bilevel_priced(model_spec, unc, leader):
             acts = evaluate(x)[1]
             return np.where(acts >= f_max, 1, np.where(acts <= f_min, -1, 0))
 
-        state_lo, state_hi = clamped(lo[k]), clamped(hi[k])
-        ends = {lo[k], hi[k]}
+        state_lo, state_hi = clamped(x_lo), clamped(x_hi)
+        ends = {x_lo, x_hi}
         for cell in zip(*np.nonzero(state_lo != state_hi)):
             for side in {state_lo[cell], state_hi[cell]} - {0}:
                 bound = (f_max if side > 0 else f_min)[cell]
-                free, held = ((lo[k], hi[k]) if state_hi[cell] == side
-                              else (hi[k], lo[k]))
+                free, held = ((x_lo, x_hi) if state_hi[cell] == side
+                              else (x_hi, x_lo))
                 ends.add(_locate_kink(
                     lambda x, cell=cell, bound=bound:
                         abs(evaluate(x)[1][cell] - bound), free, held))
@@ -306,20 +318,20 @@ def _bilevel_priced(model_spec, unc, leader):
             step = min(1e-5 * max(1.0, abs(a)), 0.25 * (b - a))
             if value(a + step) > value(a):
                 candidates.add(maximize_scalar(value, a, b))
-        return max(sorted(candidates), key=value)
+        best = max(sorted(candidates), key=value)
+        return best, value(best)
 
-    a0 = lo.copy()
-    sweeps = 0
-    for sweep in range(1, 61):
-        sweeps = sweep
+    a_l = np.array(lo[leaders] if start is None else start, dtype=float)
+    for sweep in range(1, _LEADER_SWEEPS + 1):
         shift = 0.0
-        for k in range(model_spec.n_dims):
-            best = coordinate_search(a0, k)
-            shift = max(shift, abs(best - a0[k]))
-            a0[k] = best
-        if shift < _LEADER_TOL or model_spec.n_dims == 1:
+        for i, k in np.ndindex(a_l.shape):
+            best, reached = coordinate_search(a_l, i, k)
+            shift = max(shift, abs(best - a_l[i, k]))
+            a_l[i, k] = best
+        converged = shift < _LEADER_TOL or a_l.size == 1
+        if converged:
             break
-    return a0, sweeps
+    return a_l, reached, sweep, converged
 
 
 def _locate_kink(gap, free, held):
@@ -380,15 +392,9 @@ def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
         a0, iters, search_notes = _bilevel_budgeted(model_spec, unc, leader,
                                                      restarts, seed)
     else:
-        a0, iters = _bilevel_priced(model_spec, unc, leader)
-        search_notes = {}
-    # realization: commit a0, followers respond with true gains (and their own
-    # robust responses); utilities evaluated at true parameters.
-    committed = spec.action_min.copy()
-    committed[leader] = a0
-    nash = followers_nash(spec, committed, eps=unc)
-    actions = nash.profile.actions.copy()
-    actions[leader] = a0
+        a_l, _, iters, _ = _bilevel_priced(model_spec, unc, [leader])
+        a0, search_notes = a_l[0], {}
+    actions, nash = _realize(spec, unc, [leader], a0)
     notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
              **search_notes, **(notes or {})}
     if believed_spec is not None:
@@ -396,6 +402,18 @@ def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
         notes["believed_leader_utility"] = game.utility(model_spec, leader, a0, f0_model)
     return _make_result(kind, spec, actions, iterations=iters,
                         residual=nash.diagnostics.residual, notes=notes)
+
+
+def _realize(spec, unc, leaders, a_l):
+    """Commit the leaders' actions and let the followers respond.
+
+    The followers play their (robust) Nash equilibrium with the true gains;
+    returns the full action matrix and that `followers_nash` result.
+    """
+    committed = spec.action_min.copy()
+    committed[leaders] = a_l
+    nash = followers_nash(spec, committed, eps=unc)
+    return nash.profile.actions.copy(), nash
 
 
 def solve_nse(spec, restarts=20, seed=0):

@@ -1,23 +1,23 @@
 """Multi-leader protocols: heuristic leader selection and cooperative leaders.
 
 The heuristic walks the leader candidates in index order, demotes every other
-player to follower, checks C7-C8 at the candidate-led nominal equilibrium,
-and plays the case-2 robust game with the first candidate that qualifies.
-A no-candidate outcome is a regular result, not an error.
+player to follower, checks C7-C8 at the full-power status quo, and plays the
+case-2 robust game with the first candidate that qualifies.  A no-candidate
+outcome is a regular result, not an error.
+
+The cooperative leaders of a priced game maximize their summed utility with
+the bi-level solvers' own leader search (`equilibria._bilevel_priced`), run
+over every leader's coordinates, and are realized as those solvers realize
+one leader.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import analysis, equilibria, game, robust
+from .. import analysis, equilibria, robust
 from ..errors import InvalidSpecError
 from ..budget import project_box_budget
-from ..numerics import maximize_scalar
-
-# `cooperative_leaders_nse`
-_LEADER_TOL = 1e-9  # leader action shift that ends an ascent
-_MAX_SWEEPS = 80   # sweeps per ascent
 
 
 def demote_to_single_leader(spec, leader):
@@ -47,7 +47,6 @@ class CandidateReport:
     candidate: int
     c7_all: bool
     c8_all: bool
-    nse: object  # candidate-led EquilibriumResult
 
     @property
     def eligible(self):
@@ -66,31 +65,31 @@ class LeaderSelection:
     def no_eligible_leader(self):
         return self.selected < 0
 
-    def run_plan(self, spec, eps=0.0, **solver_kwargs):
+    def run_plan(self, spec, **solver_kwargs):
         """Execute the selected robust Stackelberg game.
 
         Returns the demoted spec, its nominal equilibrium and the case-2
-        robust equilibrium at the candidate's info radius.
+        robust equilibrium at the candidate's info radius, with the followers
+        observing exactly (eps = 0).  `solver_kwargs` (restarts, seed) go to
+        both solvers.
         """
         if self.no_eligible_leader:
             raise InvalidSpecError("no eligible leader was selected")
         demoted = demote_to_single_leader(spec, self.selected)
         idx = list(spec.leaders).index(self.selected)
         nse = equilibria.solve_nse(demoted, **solver_kwargs)
-        rse2 = equilibria.solve_rse2(demoted, eps, float(self.delta[idx]),
+        rse2 = equilibria.solve_rse2(demoted, 0.0, float(self.delta[idx]),
                                      **solver_kwargs)
         return demoted, nse, rse2
 
 
-def heuristic_leader_selection(spec, delta_per_leader, at="full_power",
-                               **solver_kwargs):
+def heuristic_leader_selection(spec, delta_per_leader):
     """First leader candidate (in index order) satisfying C7-C8, if any.
 
     Every other player is treated as a follower of the candidate.  The
-    conditions are evaluated at the full-power status-quo profile by default
-    (a parameter-only screen: at interior equilibria the followers' own rates
-    vanish, which would make C8 unsatisfiable); pass `at="nse"` to evaluate
-    at the candidate-led nominal equilibrium instead.
+    conditions are evaluated at the full-power status-quo profile, a
+    parameter-only screen: at interior equilibria the followers' own rates
+    vanish, which would make C8 unsatisfiable.  Solves no equilibrium.
     """
     if len(spec.leaders) < 2:
         raise InvalidSpecError("the heuristic protocol needs at least two leaders")
@@ -100,15 +99,9 @@ def heuristic_leader_selection(spec, delta_per_leader, at="full_power",
     selected = -1
     for cand in spec.leaders:
         demoted = demote_to_single_leader(spec, cand)
-        nse = None
-        if at == "nse":
-            nse = equilibria.solve_nse(demoted, **solver_kwargs)
-            profile = nse
-        else:
-            profile = full_power_profile(demoted)
-        conds = analysis.check_conditions(demoted, profile)
+        conds = analysis.check_conditions(demoted, full_power_profile(demoted))
         rep = CandidateReport(candidate=cand, c7_all=conds.all_k["c7"],
-                              c8_all=conds.all_k["c8"], nse=nse)
+                              c8_all=conds.all_k["c8"])
         reports.append(rep)
         if rep.eligible:
             selected = cand
@@ -120,77 +113,35 @@ def heuristic_leader_selection(spec, delta_per_leader, at="full_power",
 def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
     """Leaders jointly maximize their summed utility with followers embedded.
 
-    Projected coordinate ascent over all (leader, dimension) coordinates with
-    random restarts; budgeted leaders keep their own sum-power feasibility via
-    projection after every sweep.  An ascent stops once a sweep moves no
-    leader action by `_LEADER_TOL`, or after `_MAX_SWEEPS` sweeps.  The
-    followers' equilibrium is re-solved (`equilibria.followers_nash`'s
-    iteration) at every objective evaluation, so a non-certified followers'
-    game can make this expensive.  Reports the winning ascent's sweeps and
-    the followers' Nash residual; notes whether that ascent stalled.
+    Priced games only.  Runs the bi-level solvers' kink-splitting coordinate
+    search (`equilibria._bilevel_priced`) over all (leader, dimension)
+    coordinates from `max(restarts, 1)` starts: the box floors, then uniform
+    draws from `seed`.  The best start by the search's own value is realized
+    once, as the single-leader solvers realize theirs: the leaders commit and
+    the followers play their Nash equilibrium.  Reports the winning search's
+    sweeps and the followers' Nash residual; notes the leaders' summed
+    utility and whether that search's last sweep converged.
     """
     leaders = list(spec.leaders)
     if not leaders:
         raise InvalidSpecError("need at least one leader")
+    if spec.is_budgeted:
+        raise InvalidSpecError("cooperative leaders need the priced model")
     rng = np.random.default_rng(seed)
     lo, hi = spec.action_min, spec.action_max
-    cache = {"profile": spec.action_min.copy()}
     unc = robust.coerce_uncertainty(spec, eps=eps)
-
-    def social_of_leaders(actions_leaders):
-        seed_prof = cache["profile"].copy()
-        for i, n in enumerate(leaders):
-            seed_prof[n] = actions_leaders[i]
-        prof, _, res = equilibria._followers_fixed_point(spec, seed_prof, unc)
-        cache["profile"] = prof.copy()
-        total = 0.0
-        for n in leaders:
-            f_n = game.aggregate_impact(spec, prof, n).values
-            total += game.utility(spec, n, prof[n], f_n)
-        return total, prof, res
-
-    def ascend(a_l):
-        social_of_leaders(a_l)  # seeds the followers' iteration
-        converged = False
-        for sweeps in range(1, _MAX_SWEEPS + 1):
-            shift = 0.0
-            for i, n in enumerate(leaders):
-                for k in range(spec.n_dims):
-                    def fn(x, i=i, n=n, k=k):
-                        trial = a_l.copy()
-                        trial[i, k] = x
-                        if spec.is_budgeted:
-                            trial[i] = project_box_budget(trial[i], lo[n], hi[n],
-                                                          spec.budget(n))
-                        return social_of_leaders(trial)[0]
-
-                    best = maximize_scalar(fn, lo[n, k], hi[n, k])
-                    shift = max(shift, abs(best - a_l[i, k]))
-                    a_l[i, k] = best
-                if spec.is_budgeted:
-                    a_l[i] = project_box_budget(a_l[i], lo[n], hi[n],
-                                                spec.budget(n))
-            if shift < _LEADER_TOL:
-                converged = True
-                break
-        value, prof, residual = social_of_leaders(a_l)
-        return a_l, value, prof, converged, sweeps, residual
-
     best = None
     for r in range(max(restarts, 1)):
-        if r == 0:
-            a_l = np.array([lo[n] for n in leaders])
-        else:
-            a_l = np.array([lo[n] + rng.uniform(size=spec.n_dims)
-                            * (np.minimum(hi[n], lo[n] + 10 * (1 + lo[n])) - lo[n])
-                            for n in leaders])
-            if spec.is_budgeted:
-                for i, n in enumerate(leaders):
-                    a_l[i] = project_box_budget(a_l[i], lo[n], hi[n], spec.budget(n))
-        outcome = ascend(a_l)
+        start = None if r == 0 else np.array(
+            [lo[n] + rng.uniform(size=spec.n_dims)
+             * (np.minimum(hi[n], lo[n] + 10 * (1 + lo[n])) - lo[n])
+             for n in leaders])
+        outcome = equilibria._bilevel_priced(spec, unc, leaders, start)
         if best is None or outcome[1] > best[1]:
             best = outcome
-    a_l, value, prof, converged, sweeps, residual = best
+    a_l, value, sweeps, converged = best
+    actions, nash = equilibria._realize(spec, unc, leaders, a_l)
     return equilibria._make_result(
-        "NSE", spec, prof, iterations=sweeps, residual=residual,
+        "NSE", spec, actions, iterations=sweeps,
+        residual=nash.diagnostics.residual,
         notes={"leaders_social": value, "certified_ascent": converged})

@@ -110,6 +110,27 @@ def e1_oracle():
                              a0_max=1.0, a1_max=2.0)
 
 
+def two_leaders_grid_max(direct, cross, noise, price, a_max, n_points):
+    """Leaders' summed utility maximized over a dense grid, K = 1.
+
+    Players 0 and 1 lead, player 2 follows; both leaders range over
+    [0, a_max] and the follower plays its closed-form priced reaction
+    clip(1/c - f/h, 0, a_max) to their actions.  `cross[n, m]` is player m's
+    gain at player n.  Returns (a0, a1, value) of the best grid point.
+    """
+    h, c = np.ravel(direct), np.ravel(price)
+    g = np.asarray(cross, dtype=float).reshape(3, 3)
+    xs = np.linspace(0.0, a_max, n_points)
+    a0, a1 = np.meshgrid(xs, xs, indexing="ij")
+    f2 = noise + g[2, 0] * a0 + g[2, 1] * a1
+    a2 = np.clip(1.0 / c[2] - f2 / h[2], 0.0, a_max)
+    u0 = np.log1p(h[0] * a0 / (noise + g[0, 1] * a1 + g[0, 2] * a2)) - c[0] * a0
+    u1 = np.log1p(h[1] * a1 / (noise + g[1, 0] * a0 + g[1, 2] * a2)) - c[1] * a1
+    total = u0 + u1
+    best = np.unravel_index(int(np.argmax(total)), total.shape)
+    return float(a0[best]), float(a1[best]), float(total[best])
+
+
 # ---------------------------------------------------------------------------
 # worst-case observation brute force
 # ---------------------------------------------------------------------------

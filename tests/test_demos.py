@@ -22,3 +22,8 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if demo.stem == "demo_07_heuristic_protocol":
+        # a candidate qualifies, so the run plan and the cooperative
+        # reference point run too
+        assert "selected leader" in proc.stdout
+        assert "cooperative leaders" in proc.stdout

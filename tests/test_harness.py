@@ -8,18 +8,19 @@ import numpy as np
 import pytest
 
 import rsgame as rs
-from rsgame import lockstep
-from rsgame.errors import ConfigError, IterationLimitError, SchemaVersionError
+from rsgame import equilibria, lockstep
+from rsgame.errors import (ConfigError, InvalidSpecError, IterationLimitError,
+                           SchemaVersionError)
 from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
                             channels, cooperative_leaders_nse,
                             demote_to_single_leader, generate_channels,
                             heuristic_leader_selection, load_rows,
                             monte_carlo_cdf, run_experiment, solve_instance)
-from rsgame.harness import protocol
 from rsgame.harness.montecarlo import leader_ascent_batch, follower_response_batch
 
 from conftest import random_priced_multi_follower
 from ensembles import heuristic_protocol_spec
+from oracles import two_leaders_grid_max
 
 
 def small_config(**over):
@@ -394,12 +395,40 @@ def two_leaders_one_follower_spec():
                         action_max=6.0, price=[0.6, 0.7, 0.5])
 
 
+KINK = dict(direct=[[0.8], [0.99], [1.8]],
+            cross=[[[0.0], [0.97], [1.46]], [[1.39], [0.0], [1.06]],
+                   [[0.29], [0.94], [0.0]]],
+            noise=0.11, price=[0.43, 0.57, 0.36])
+
+
+def kink_spec():
+    """Two leaders, one follower, K = 1: the leaders gain most by crushing
+    the follower, across a kink of its reaction."""
+    return rs.make_spec(**KINK, leaders=(0, 1), action_max=6.0)
+
+
 class TestCooperativeLeaders:
     def test_single_leader_degenerates_to_nse(self, e1_spec):
         res = cooperative_leaders_nse(e1_spec, restarts=1)
         nse = rs.solve_nse(e1_spec)
-        assert res.profile.actions == pytest.approx(nse.profile.actions,
-                                                    abs=1e-6)
+        assert np.array_equal(res.profile.actions, nse.profile.actions)
+
+    def test_crushing_the_follower_beats_the_grid(self):
+        res = cooperative_leaders_nse(kink_spec(), restarts=1)
+        _, _, grid = two_leaders_grid_max(**KINK, a_max=6.0, n_points=1201)
+        assert grid > 0.9
+        social = res.utilities[:2].sum()
+        assert social >= grid - 1e-9
+        assert res.diagnostics.notes["leaders_social"] == pytest.approx(
+            social, abs=1e-12)
+        assert res.profile.actions[2, 0] == 0.0  # on its floor
+
+    def test_budgeted_leaders_are_rejected(self):
+        spec = rs.make_spec(direct=np.ones((3, 1)), cross=np.zeros((3, 3, 1)),
+                            noise=0.1, leaders=(0, 1), action_max=5.0,
+                            budget=[5.0, 5.0, 5.0])
+        with pytest.raises(InvalidSpecError):
+            cooperative_leaders_nse(spec, restarts=1)
 
     def test_decoupled_leaders_get_their_own_optima(self):
         cross = np.zeros((3, 3, 1))
@@ -424,7 +453,7 @@ class TestCooperativeLeaders:
             diag = res.diagnostics
             assert np.isfinite(diag.residual) and diag.residual < 1e-10
             assert diag.notes["certified_ascent"]
-            assert 1 <= diag.iterations < protocol._MAX_SWEEPS
+            assert 1 <= diag.iterations < equilibria._LEADER_SWEEPS
             actions = res.profile.actions
             for n in spec.followers:
                 br = rs.follower_best_response(spec, n, actions, eps)

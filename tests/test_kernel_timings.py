@@ -1,5 +1,5 @@
-"""L0 kernel timings, followers' Nash solves and one budgeted leader ascent
-(pytest-benchmark); deselected by default.
+"""L0 kernel timings, followers' Nash solves, one budgeted leader ascent and
+the cooperative leaders' search (pytest-benchmark); deselected by default.
 
 Run them with `python -m pytest -m bench`.  The kernel states come from the
 budgeted regime (noise 0.01, budget 10 spread over K = 4 subchannels,
@@ -12,9 +12,11 @@ import pytest
 import rsgame as rs
 from rsgame import lockstep
 from rsgame.budget import robust_waterfill_batch, robust_waterfill_jacobian
+from rsgame.harness import cooperative_leaders_nse
 
 from conftest import random_priced_multi_follower, random_priced_two_player
 from test_equilibria import demo05_spec, three_player_budgeted_spec
+from test_harness import kink_spec, two_leaders_one_follower_spec
 
 H = np.array([0.54, 0.226, 0.279, 0.222])
 A = np.array([4.0, 3.0, 2.0, 1.0])
@@ -90,3 +92,14 @@ def test_followers_nash(benchmark, case):
     res = benchmark(rs.followers_nash, spec, profile, eps)
     assert res.diagnostics.residual < 1e-12
     assert (res.diagnostics.iterations == 1) == (len(spec.followers) == 1)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("case", ["two-leaders", "kink"])
+def test_cooperative_leaders(benchmark, case):
+    # priced, K = 1, two leaders and one follower: the cooperative tests'
+    # spec, and the one whose optimum crushes the follower across a kink
+    spec = {"two-leaders": two_leaders_one_follower_spec,
+            "kink": kink_spec}[case]()
+    res = benchmark(cooperative_leaders_nse, spec, restarts=2)
+    assert res.diagnostics.notes["certified_ascent"]

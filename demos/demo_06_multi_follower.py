@@ -23,7 +23,7 @@ def game(coupling):
 weak = game(0.01)
 strong = game(1.5)
 for name, spec in (("weak", weak), ("strong", strong)):
-    cert = rs.uniqueness_certificate(spec, samples=128, rng_seed=0)
+    cert = rs.uniqueness_certificate(spec)
     print(f"{name} follower-follower coupling: curvature matrix")
     print(np.round(cert.upsilon, 4))
     print(f"  P-matrix (unique followers' equilibrium): {cert.is_p_matrix}\n")

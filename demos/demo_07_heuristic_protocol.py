@@ -55,7 +55,7 @@ if selection.no_eligible_leader:
 print(f"selected leader: {selection.selected}\n")
 
 demoted, nse, rse2 = selection.run_plan(spec)
-cert = rs.uniqueness_certificate(demoted, samples=128, rng_seed=1)
+cert = rs.uniqueness_certificate(demoted)
 print(f"demoted game certified unique followers' equilibrium: {cert.is_p_matrix}")
 others = [n for n in range(3) if n != selection.selected]
 before = sum(nse.utilities[n] for n in others)

@@ -22,6 +22,7 @@ _THETA_HI = 10.0       # R1: both SINRs above
 _THETA_LO = 0.1        # R2: both SINRs below
 _THETA_PROX = 0.2      # R3: relative gap of the two impacts below
 ORDERING_SLACK = 1e-9  # utility change an ordering forgives
+PREDICTION_SLACK = 1e-6  # relative social change a triggered prediction forgives
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ def ordering_report(spec, eps_grid, delta_grid):
     Case-1 rows check leader-up / follower-down vs the nominal equilibrium,
     case-2 rows the reverse, each up to `ORDERING_SLACK`.  A solver error
     (`errors.SOLVER_ERRORS`) marks its row inconclusive; any other exception
-    propagates.
+    propagates.  A row whose nominal baseline utility is zero keeps its
+    result and verdicts with `d = None`, and no prediction is graded on it.
     """
     eps_grid = [float(e) for e in eps_grid]
     delta_grid = [float(d) for d in delta_grid]
@@ -226,7 +228,10 @@ def ordering_report(spec, eps_grid, delta_grid):
             res = solve(radius)
         except SOLVER_ERRORS as exc:  # row marked inconclusive
             return OrderingRow(radius=radius, error=f"{type(exc).__name__}: {exc}")
-        d = delta_metrics(nse, res)
+        try:
+            d = delta_metrics(nse, res)
+        except UndefinedBaselineError:
+            d = None  # a player shut off at the NSE: no relative change
         dl = res.utilities[leader] - nse.utilities[leader]
         df = res.utilities[fol] - nse.utilities[fol]
         if leader_up:
@@ -241,19 +246,17 @@ def ordering_report(spec, eps_grid, delta_grid):
     case2 = tuple(grade(dd, lambda d_: equilibria.solve_rse2(spec, 0.0, d_), False)
                   for dd in delta_grid if dd > 0)
 
-    prop3_ok = True
-    eps_nz = [e for e in eps_grid if e > 0]
-    delta_nz = [d for d in delta_grid if d > 0]
-    if eps_nz and delta_nz:
-        rse1 = equilibria.solve_rse1(spec, eps_nz[0])
-        rse2 = equilibria.solve_rse2(spec, eps_nz[0], delta_nz[0])
+    prop3_ok = True  # no claim without both radii or on an inconclusive row
+    if case1 and case2 and case1[0].error is None:
+        rse1 = case1[0].result
+        rse2 = equilibria.solve_rse2(spec, case1[0].radius, case2[0].radius)
         prop3_ok = bool(rse2.utilities[leader]
                         <= rse1.utilities[leader] + ORDERING_SLACK)
 
     def matched(rows, predicted):
-        if not predicted or not rows or rows[0].error is not None:
+        if not predicted or not rows or rows[0].d is None:
             return True  # the prediction makes no claim here
-        return bool(rows[0].d.social >= -1e-6)
+        return bool(rows[0].d.social >= -PREDICTION_SLACK)
 
     c1c2 = bool(conditions.all_k.get("c1", False) and conditions.all_k.get("c2", False))
     c3c4 = bool(conditions.all_k.get("c3", False) and conditions.all_k.get("c4", False))

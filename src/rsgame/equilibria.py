@@ -31,7 +31,7 @@ from . import game, lockstep, robust
 from .errors import (CombinatorialLimitError, DegenerateModelError,
                      InapplicableFormulaError, InvalidSpecError,
                      IterationLimitError)
-from .numerics import box_corners, latin_hypercube, maximize_scalar
+from .numerics import maximize_scalar
 
 _BOUNDARY_EPS = 1e-9
 _BR_TOL = 1e-13     # the priced robust best response's fixed-point residual
@@ -73,18 +73,17 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class UniquenessCertificate:
-    """Empirical curvature-bound matrix and its P-matrix verdict.
+    """Box-wide curvature-bound matrix and its P-matrix verdict.
 
-    The inf/sup over the action set are sampled, so `is_p_matrix=True` is an
-    empirical certificate: a false positive is possible if the sampled bounds
-    miss the true extrema.
+    The bounds are the exact inf/sup over the action box, so `is_p_matrix=True`
+    certifies a unique followers' equilibrium; being box-wide, the bounds are
+    conservative, and `False` does not rule uniqueness out.
     """
 
     upsilon: np.ndarray    # (Nf, Nf)
     alpha_min: np.ndarray  # (Nf,)
     beta_max: np.ndarray   # (Nf, Nf), zero diagonal
     is_p_matrix: bool
-    samples_used: int
 
 
 def realized_utilities(spec, actions):
@@ -523,17 +522,19 @@ def rse1_closed_form(spec, nse, eps, *, literal=False):
 # uniqueness certificate
 # ---------------------------------------------------------------------------
 
-def uniqueness_certificate(spec, samples=256, rng_seed=0):
-    """Empirical curvature-bound matrix for the followers' game.
+def uniqueness_certificate(spec):
+    """Box-wide curvature-bound matrix for the followers' game.
 
     alpha_n is the smallest eigenvalue of the (diagonal) negated own Hessian,
-    beta_nm the spectral norm of the (diagonal) cross derivative, both
-    extremized over Latin-hypercube samples of the joint action box plus all
-    box corners for up to three dimensions.  All principal minors of the
-    resulting matrix positive certifies a unique followers' equilibrium.
+    (H/(f + H a))^2, and beta_nm the spectral norm of the (diagonal) cross
+    derivative, x_nm H/(f + H a)^2, both extremized over the joint action
+    box.  Both curvatures fall as any player's action rises (f grows with
+    the others' actions, f + H a with the own one), so the infimum of alpha
+    is attained with every player at its ceiling and the supremum of beta
+    with every player at its floor.  All principal minors of the resulting
+    matrix positive certifies a unique followers' equilibrium (Scutari,
+    Palomar & Barbarossa, IEEE Trans. IT 54(7), 2008).
     """
-    if samples < 1:
-        raise InvalidSpecError("samples must be at least 1")
     followers = list(spec.followers)
     n_f = len(followers)
     if n_f > 12:
@@ -543,30 +544,19 @@ def uniqueness_certificate(spec, samples=256, rng_seed=0):
     lo, hi = spec.action_min, spec.action_max
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidSpecError("certificate needs a bounded action box")
-    rng = np.random.default_rng(rng_seed)
-    unit = latin_hypercube(rng, samples, spec.n_players * spec.n_dims)
-    points = lo.ravel() + unit * (hi.ravel() - lo.ravel())
-    corners = box_corners(lo, hi) if spec.n_dims <= 3 else None
-    if corners is not None:
-        points = np.vstack([points, corners])
-    alpha = np.full(n_f, np.inf)
+    f_hi = game.all_impacts(spec, hi)  # every player at its ceiling
+    f_lo = game.all_impacts(spec, lo)  # every player at its floor
+    alpha = np.empty(n_f)
     beta = np.zeros((n_f, n_f))
-    for flat in points:
-        actions = flat.reshape(spec.n_players, spec.n_dims)
-        impacts = game.all_impacts(spec, actions)
-        for i, n in enumerate(followers):
-            bundle = game.derivatives(spec, n, actions[n], impacts[n])
-            alpha[i] = min(alpha[i], float(np.min(-bundle.hess_aa)))
-            for j, m in enumerate(followers):
-                if m == n:
-                    continue
-                norm = float(np.max(np.abs(bundle.hess_af)
-                                    * spec.cross_gain[n, m, :]))
-                beta[i, j] = max(beta[i, j], norm)
+    for i, n in enumerate(followers):
+        alpha[i] = np.min(-game.derivatives(spec, n, hi[n], f_hi[n]).hess_aa)
+        abs_af = np.abs(game.derivatives(spec, n, lo[n], f_lo[n]).hess_af)
+        for j, m in enumerate(followers):
+            if m != n:
+                beta[i, j] = np.max(abs_af * spec.cross_gain[n, m, :])
     ups = np.diag(alpha) - beta
-    is_p = _all_principal_minors_positive(ups)
     return UniquenessCertificate(upsilon=ups, alpha_min=alpha, beta_max=beta,
-                                 is_p_matrix=is_p, samples_used=len(points))
+                                 is_p_matrix=_all_principal_minors_positive(ups))
 
 
 def _all_principal_minors_positive(mat):

@@ -88,8 +88,7 @@ def _activity_threshold(spec):
     return 1e-6 * scale
 
 
-def _row(spec, instance, kind, eps, delta, res, d, conds, overlap):
-    n, k = spec.n_players, spec.n_dims
+def _row(n, k, instance, kind, eps, delta, res, d, conds, overlap):
     a = res.profile.actions
     vals = [instance, kind, eps, delta]
     vals += [a[p, dd] for p in range(n) for dd in range(k)]
@@ -170,20 +169,19 @@ def run_experiment(config, quiet=False):
              f"# schema: {SCHEMA}",
              csv_line(_columns(n, k))]
     for rec in records:
-        spec = config.to_spec(rec.gains)
         for (kind, radius), res in sorted(rec.results.items(),
                                           key=lambda kv: (kv[0][0], kv[0][1])):
             eps = radius if kind == "RSE1" else 0.0
             delta = radius if kind == "RSE2" else 0.0
             d = rec.d_metrics.get((kind, radius))
-            lines.append(_row(spec, rec.instance, kind, eps, delta, res, d,
+            lines.append(_row(n, k, rec.instance, kind, eps, delta, res, d,
                               rec.conditions, rec.overlap[(kind, radius)]))
     write_csv(csv_path, lines)
 
     # every instance shares the config's roles: grade and plot the leader
     # against the first follower (a one-player sweep has none)
     leader = config.leaders[0]
-    followers = config.to_spec(records[0].gains).followers
+    followers = [p for p in range(n) if p not in config.leaders]
     orderings = {}
     svg_paths = ()
     if followers:
@@ -231,12 +229,12 @@ def _grade_agreement(records):
             d = rec.d_metrics.get(("RSE1", min(rse1)[0]))
             if d is not None:
                 out["case1"][1] += 1
-                out["case1"][0] += d.social >= -1e-6
+                out["case1"][0] += d.social >= -analysis.PREDICTION_SLACK
         if rse2 and all_k.get("c3") and all_k.get("c4"):
             d = rec.d_metrics.get(("RSE2", min(rse2)[0]))
             if d is not None:
                 out["case2"][1] += 1
-                out["case2"][0] += d.social >= -1e-6
+                out["case2"][0] += d.social >= -analysis.PREDICTION_SLACK
     return {name: (int(ok), int(total)) for name, (ok, total) in out.items()}
 
 

@@ -1,4 +1,4 @@
-"""Scalar maximization and sampling helpers used by the solvers."""
+"""Scalar maximization for the priced leader search's reaction pieces."""
 
 import numpy as np
 
@@ -7,7 +7,6 @@ _COARSE_TOL = 1e-7   # golden-section bracket width
 _FOC_TOL = 1e-12     # first-order-condition root bracket width
 _DERIV_STEP = 1e-5   # central-difference step, relative to max(1, |x|)
 _FLAT_TOL = 1e-12    # value gap within which the lower bound wins a tie
-_CORNER_CAP = 4096   # most corners `box_corners` lists
 
 
 def golden_section_max(fn, lo, hi):
@@ -99,22 +98,3 @@ def _illinois_root(fn, left, right, f_left, f_right):
                 f_left *= 0.5
             stale = "left"
     return 0.5 * (left + right)
-
-
-def latin_hypercube(rng, n_samples, n_dims):
-    """Latin-hypercube sample in [0, 1]^d: one stratum per sample per dim."""
-    cells = np.empty((n_samples, n_dims))
-    for d in range(n_dims):
-        cells[:, d] = rng.permutation(n_samples)
-    return (cells + rng.uniform(size=(n_samples, n_dims))) / n_samples
-
-
-def box_corners(lo, hi):
-    """All corners of the box [lo, hi] (flattened dims), or None past the cap."""
-    lo = np.asarray(lo, dtype=float).ravel()
-    hi = np.asarray(hi, dtype=float).ravel()
-    d = lo.size
-    if 2**d > _CORNER_CAP:
-        return None
-    grid = np.array(np.meshgrid(*[[l, h] for l, h in zip(lo, hi)], indexing="ij"))
-    return grid.reshape(d, -1).T

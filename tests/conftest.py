@@ -34,6 +34,19 @@ def e1_spec():
     return build_e1_spec()
 
 
+def crushing_leader_spec():
+    """K=1 priced game whose leader optimum is the kink where the follower
+    shuts off: the NSE follower sits on its floor with utility 0."""
+    cross = np.zeros((2, 2, 1))
+    cross[0, 1] = 0.42908578190734237
+    cross[1, 0] = 0.3899625863678114
+    return rs.make_spec(direct=[[1.5011006808091636], [0.8779172101190559]],
+                        cross=cross,
+                        noise=[[0.2372861429362748], [0.10526927519789873]],
+                        leaders=(0,), action_min=0.0, action_max=8.0,
+                        price=[1.1582898820818741, 1.0753219697830594])
+
+
 def random_priced_two_player(rng, k=1, coupling=(0.1, 0.6), box=8.0,
                              coupling01=None, coupling10=None):
     """Random one-leader one-follower priced game with moderate coupling."""

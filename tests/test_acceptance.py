@@ -243,8 +243,8 @@ class TestCriterion7MultiFollowerDirections:
         while done < n_instances:
             n_f = 2 + (done % 2)
             spec = certified_multi_follower_spec(rng, n_followers=n_f)
-            cert = rs.uniqueness_certificate(spec, samples=64,
-                                             rng_seed=int(rng.integers(2**31)))
+            rng.integers(2**31)  # a draw kept so the stream of games stays put
+            cert = rs.uniqueness_certificate(spec)
             if not cert.is_p_matrix:
                 continue
             try:

@@ -5,9 +5,10 @@ import pytest
 
 import rsgame as rs
 from rsgame import analysis
-from rsgame.errors import UndefinedBaselineError
+from rsgame.errors import IterationLimitError, UndefinedBaselineError
 
-from conftest import build_e1_spec, random_priced_two_player
+from conftest import (build_e1_spec, crushing_leader_spec,
+                      random_priced_two_player)
 from oracles import central_diff
 
 
@@ -199,3 +200,43 @@ class TestOrderingReport:
     def test_grids_must_start_at_zero(self, e1_spec):
         with pytest.raises(Exception):
             analysis.ordering_report(e1_spec, [0.05], [0.0])
+
+    def test_shut_off_follower_keeps_its_rows(self):
+        # the NSE follower sits on its floor with utility 0: the rows keep
+        # their results and verdicts, with no relative change to report
+        report = analysis.ordering_report(crushing_leader_spec(), [0.0, 0.02],
+                                          [0.0, 0.02])
+        assert report.nse.utilities[1] == 0.0
+        for row in report.case1 + report.case2:
+            assert row.error is None and row.result is not None
+            assert row.d is None
+            assert row.leader_ok and row.follower_ok
+        # C1 and C2 hold, but a row without d leaves nothing to match
+        assert report.case1_predicted
+        assert report.case1_matched and report.case2_matched
+        assert report.all_orderings_hold
+
+    def test_one_rse1_solve_per_radius(self, e1_spec, monkeypatch):
+        radii = []
+        solve = rs.equilibria.solve_rse1
+
+        def counted(spec, eps, **kwargs):
+            radii.append(eps)
+            return solve(spec, eps, **kwargs)
+
+        monkeypatch.setattr(rs.equilibria, "solve_rse1", counted)
+        report = analysis.ordering_report(e1_spec, [0.0, 0.05, 0.1],
+                                          [0.0, 0.05, 0.1])
+        assert radii == [0.05, 0.1]
+        assert report.prop3_ok
+
+    def test_inconclusive_first_row_makes_no_prop3_claim(self, e1_spec,
+                                                          monkeypatch):
+        def failing(spec, eps, **kwargs):
+            raise IterationLimitError("planted")
+
+        monkeypatch.setattr(rs.equilibria, "solve_rse1", failing)
+        report = analysis.ordering_report(e1_spec, [0.0, 0.05], [0.0, 0.05])
+        assert report.case1[0].error.startswith("IterationLimitError")
+        assert report.prop3_ok
+        assert report.case1_matched

@@ -22,6 +22,11 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if demo.stem == "demo_06_multi_follower":
+        # the weak game is certified, the strong one is not
+        verdicts = [line.rsplit(": ", 1)[1] for line in proc.stdout.splitlines()
+                    if "P-matrix" in line]
+        assert verdicts == ["True", "False"]
     if demo.stem == "demo_07_heuristic_protocol":
         # a candidate qualifies, so the run plan and the cooperative
         # reference point run too

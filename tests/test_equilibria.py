@@ -10,7 +10,7 @@ from rsgame.errors import (DegenerateModelError, InapplicableFormulaError,
 from rsgame.equilibria import _BOUNDARY_EPS
 from rsgame.harness import ExperimentConfig, ScenarioSpec, channels
 
-from conftest import (build_e1_spec, interior_instance,
+from conftest import (build_e1_spec, crushing_leader_spec, interior_instance,
                       random_priced_multi_follower, random_priced_two_player)
 from oracles import PricedTwoPlayer1D, e1_oracle, grid_argmax_vec
 
@@ -339,25 +339,16 @@ class TestLeaderCrushesFollower:
     reaches zero.
     """
 
-    H = (1.5011006808091636, 0.8779172101190559)
-    X01, X10 = 0.42908578190734237, 0.3899625863678114
-    SIGMA = (0.2372861429362748, 0.10526927519789873)
-    PRICE = (1.1582898820818741, 1.0753219697830594)
-
     def spec(self):
-        cross = np.zeros((2, 2, 1))
-        cross[0, 1] = self.X01
-        cross[1, 0] = self.X10
-        return rs.make_spec(direct=[[self.H[0]], [self.H[1]]], cross=cross,
-                            noise=[[self.SIGMA[0]], [self.SIGMA[1]]],
-                            leaders=(0,), action_min=0.0, action_max=8.0,
-                            price=list(self.PRICE))
+        return crushing_leader_spec()
 
     def oracle(self):
-        return PricedTwoPlayer1D(h00=self.H[0], h11=self.H[1], h01=self.X01,
-                                 h10=self.X10, sigma0=self.SIGMA[0],
-                                 sigma1=self.SIGMA[1], c0=self.PRICE[0],
-                                 c1=self.PRICE[1], a0_max=8.0, a1_max=8.0)
+        spec = self.spec()
+        g, sigma = spec.cross_gain[:, :, 0], spec.noise[:, 0]
+        c = spec.utility_model.price
+        return PricedTwoPlayer1D(h00=g[0, 0], h11=g[1, 1], h01=g[0, 1],
+                                 h10=g[1, 0], sigma0=sigma[0], sigma1=sigma[1],
+                                 c0=c[0], c1=c[1], a0_max=8.0, a1_max=8.0)
 
     def test_nse_is_the_global_optimum_on_the_boundary(self):
         grid = self.oracle().grid_nse()
@@ -481,7 +472,7 @@ class TestUniquenessCertificate:
         assert not rs.is_p_matrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))
 
     def test_single_follower_scalar_case(self, e1_spec):
-        cert = rs.uniqueness_certificate(e1_spec, samples=64, rng_seed=5)
+        cert = rs.uniqueness_certificate(e1_spec)
         assert cert.upsilon.shape == (1, 1)
         assert cert.is_p_matrix == (cert.alpha_min[0] > 0)
         assert cert.is_p_matrix
@@ -491,8 +482,8 @@ class TestUniquenessCertificate:
         # healthy noise floor (caps the cross curvature) and a modest box
         weak = symmetric_followers_spec(0.02, box=2.0, noise=1.0)
         strong = symmetric_followers_spec(3.5, box=2.0, noise=1.0)
-        cert_w = rs.uniqueness_certificate(weak, samples=128, rng_seed=6)
-        cert_s = rs.uniqueness_certificate(strong, samples=128, rng_seed=6)
+        cert_w = rs.uniqueness_certificate(weak)
+        cert_s = rs.uniqueness_certificate(strong)
         assert cert_w.is_p_matrix
         assert not cert_s.is_p_matrix
         assert np.all(np.diag(cert_w.upsilon) == cert_w.alpha_min)
@@ -501,7 +492,7 @@ class TestUniquenessCertificate:
 
     def test_alpha_bounds_random_profiles(self):
         spec = symmetric_followers_spec(0.2, box=4.0)
-        cert = rs.uniqueness_certificate(spec, samples=256, rng_seed=7)
+        cert = rs.uniqueness_certificate(spec)
         rng = np.random.default_rng(8)
         for _ in range(200):
             actions = rng.uniform(0.0, 4.0, size=(2, 1))
@@ -509,6 +500,76 @@ class TestUniquenessCertificate:
             for i, n in enumerate(spec.followers):
                 b = rs.derivatives(spec, n, actions[n], impacts[n])
                 assert cert.alpha_min[i] <= -b.hess_aa.min() + 1e-12
+
+    def test_k4_game_the_box_does_not_certify(self):
+        # bounds sampled inside the box miss its extremes here and certify
+        # the game; the exact 2 x 2 minor is -3.4e-3
+        direct = [[1.08, 0.56, 1.65, 0.85], [1.34, 0.62, 0.87, 1.18],
+                  [1.17, 0.97, 1.22, 1.41]]
+        cross = [[[0, 0.05, 0.02, 0.04], [0, 0.05, 0.09, 0.01],
+                  [0.05, 0.02, 0.09, 0.04]],
+                 [[0.05, 0.09, 0.07, 0.06], [0.04, 0.06, 0.07, 0.02],
+                  [0.04, 0.08, 0.06, 0.06]],
+                 [[0.04, 0.06, 0.06, 0.07], [0.03, 0.03, 0.04, 0.09],
+                  [0.06, 0.03, 0.04, 0.06]]]
+        spec = rs.make_spec(direct=direct, cross=cross, noise=1.0,
+                            leaders=(0,), action_min=0.0, action_max=2.0,
+                            price=[0.5, 0.5, 0.5])
+        cert = rs.uniqueness_certificate(spec)
+        assert not cert.is_p_matrix
+        assert cert.alpha_min == pytest.approx([0.0577489, 0.0966572],
+                                               abs=5e-8)
+        assert cert.beta_max[0, 1] == pytest.approx(0.0708, abs=1e-15)
+        assert cert.beta_max[1, 0] == pytest.approx(0.1269, abs=1e-15)
+
+    @staticmethod
+    def _curvatures(direct, cross, noise, actions):
+        """(H/(f + H a))^2 as (..., N, K) and x_nm H/(f + H a)^2 as
+        (..., N, N, K) at a stack of (..., N, K) profiles."""
+        off = cross * (1.0 - np.eye(len(direct)))[:, :, None]
+        f = noise + np.einsum("...mk,nmk->...nk", actions, off)
+        denom = f + direct * actions
+        return (direct / denom) ** 2, off * (direct / denom**2)[..., None, :]
+
+    def test_bounds_are_the_box_extremes(self):
+        # alpha bounds the own curvature from below everywhere and meets it
+        # with every player at its ceiling; beta bounds the cross curvature
+        # from above and meets it with every player at its floor
+        rng = np.random.default_rng(15)
+        for n in range(2, 5):
+            for k in range(1, 7):
+                for priced in (True, False):
+                    direct = rng.uniform(0.5, 2.0, size=(n, k))
+                    cross = rng.uniform(0.0, rng.uniform(0.05, 1.5),
+                                        size=(n, n, k))
+                    noise = rng.uniform(0.05, 2.0, size=(n, k))
+                    lo = rng.uniform(0.0, 0.3, size=(n, k))
+                    hi = rng.uniform(1.0, 5.0, size=(n, k))
+                    model = ({"price": rng.uniform(0.2, 1.0, n)} if priced
+                             else {"budget": hi.sum(axis=1)})
+                    spec = rs.make_spec(direct=direct, cross=cross,
+                                        noise=noise, leaders=(0,),
+                                        action_min=lo, action_max=hi, **model)
+                    cert = rs.uniqueness_certificate(spec)
+                    profiles = np.concatenate([
+                        lo + rng.uniform(size=(200, n, k)) * (hi - lo),
+                        [hi, lo]])
+                    own, cross_curv = self._curvatures(direct, cross, noise,
+                                                       profiles)
+                    for i, p in enumerate(spec.followers):
+                        own_min = own[:, p].min(axis=-1)
+                        assert np.all(cert.alpha_min[i]
+                                      <= own_min * (1 + 1e-12))
+                        assert cert.alpha_min[i] == pytest.approx(
+                            own_min[-2], rel=1e-12)
+                        for j, m in enumerate(spec.followers):
+                            if m == p:
+                                continue
+                            cross_max = cross_curv[:, p, m].max(axis=-1)
+                            assert np.all(cert.beta_max[i, j]
+                                          >= cross_max * (1 - 1e-12))
+                            assert cert.beta_max[i, j] == pytest.approx(
+                                cross_max[-1], rel=1e-12)
 
 
 class TestPropositionDirections:

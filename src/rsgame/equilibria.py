@@ -22,6 +22,7 @@ evaluated at the true parameters and nominal observations.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,12 @@ _LEADER_SWEEPS = 60  # and its sweep limit
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Solver telemetry attached to every equilibrium result."""
+    """Solver telemetry attached to every equilibrium result.
+
+    `iterations` counts the Nash sweeps of `followers_nash`, or its Newton
+    steps where two or more priced followers react affinely, and the leader
+    search's sweeps or ascent steps of a bi-level solve.
+    """
 
     iterations: int
     residual: float
@@ -114,20 +120,27 @@ def _make_result(kind, spec, actions, iterations, residual, notes=None):
 # best responses
 # ---------------------------------------------------------------------------
 
-def _priced_reaction(spec, player, f_obs):
-    """Box-clamped solution of the priced first-order condition per dimension."""
-    h = spec.direct_gain(player)
-    c = spec.price(player)
-    lo, hi = spec.action_min[player], spec.action_max[player]
-    if c == 0.0:
-        if np.any(np.isinf(hi[h > 0])):
-            raise DegenerateModelError(
-                "zero price with an unbounded action box has no optimum")
-        # utility strictly increasing in own action: boundary response
-        return np.where(h > 0, hi, lo)
-    with np.errstate(divide="ignore"):
-        raw = np.where(h > 0, 1.0 / c - f_obs / np.where(h > 0, h, 1.0), lo)
-    return np.clip(raw, lo, hi)
+def _priced_reaction(spec, players, f_obs):
+    """Box-clamped solution of the priced first-order condition.
+
+    `players` is a list of player indices and f_obs their (Nf, K) observed
+    impacts; returns the (Nf, K) reactions 1/c - f_obs/h, clamped to the
+    box.  A zero direct gain gives the floor and a zero price the ceiling,
+    which must be finite there.  The reaction's slope in f_obs is -1/h where
+    it lies strictly inside the box and 0 on a bound, so those constant
+    reactions have slope 0.
+    """
+    rows = np.asarray(players)
+    h = spec.cross_gain[rows, rows]
+    c = spec.utility_model.price[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(h > 0, 1.0 / c - f_obs / h, -np.inf)
+    a = np.minimum(np.maximum(raw, spec.action_min[rows]),
+                   spec.action_max[rows])
+    if math.isinf(a.max()):
+        raise DegenerateModelError(
+            "zero price with an unbounded action box has no optimum")
+    return a
 
 
 def follower_best_response(spec, player, others, eps):
@@ -153,7 +166,7 @@ def _response(spec, player, f_nom, eps):
     if spec.is_budgeted:
         return budget_mod.robust_waterfill(spec, player, f_nom, eps,
                                            spec.budget(player))
-    a = _priced_reaction(spec, player, f_nom)
+    a = _priced_reaction(spec, [player], f_nom[None])[0]
     if eps == 0.0:
         return a
     # the worst case is evaluated just above zero actions: the limiting
@@ -165,7 +178,7 @@ def _response(spec, player, f_nom, eps):
     for it in range(_BR_ITERS):
         wco = robust.worst_case_observation(spec, player, np.maximum(a, floor),
                                             f_nom, eps)
-        a_next = _priced_reaction(spec, player, wco.values)
+        a_next = _priced_reaction(spec, [player], wco.values[None])[0]
         if it >= 3:
             a_next = (1.0 - damping) * a + damping * a_next
         res = float(np.max(np.abs(a_next - a)))
@@ -186,31 +199,40 @@ def _response(spec, player, f_nom, eps):
 def followers_nash(spec, leaders_profile, eps=0.0):
     """Followers' Nash equilibrium against the leaders in `leaders_profile`.
 
-    `lockstep.jacobi` from the profile's follower rows (zeros are fine), to
-    `lockstep.NASH_TOL`: it returns the best responses, so a follower clamped
-    at a bound sits exactly on it.  Its `IterationLimitError` carries the
-    last (N, K) profile.
+    From the profile's follower rows (zeros are fine), to `lockstep.NASH_TOL`;
+    it returns the best responses, so a follower clamped at a bound sits
+    exactly on it.  Two or more priced followers whose reactions are affine
+    (eps = 0, or K = 1, where the worst case adds eps to the impact) are
+    solved exactly by `_affine_nash`, and `diagnostics.iterations` counts its
+    Newton steps; every other game runs `lockstep.jacobi`, and counts its
+    sweeps.  A lone follower responds once.  An `IterationLimitError` of
+    either carries the last (N, K) profile.
     """
     unc = robust.coerce_uncertainty(spec, eps=eps)
-    actions, sweeps, res = _followers_fixed_point(spec, leaders_profile, unc)
+    actions, steps, res = _followers_fixed_point(spec, leaders_profile, unc)
     kind = "RNE" if np.any(unc.obs_radius > 0) else "NE"
-    return _make_result(kind, spec, actions, iterations=sweeps, residual=res)
+    return _make_result(kind, spec, actions, iterations=steps, residual=res)
 
 
 def _followers_fixed_point(spec, leaders_profile, unc):
-    """`followers_nash`'s one `lockstep.jacobi` row: (actions, sweeps, res)."""
+    """`followers_nash` without the result: (actions, steps, res)."""
     actions = game.as_actions(leaders_profile).copy()
     fol = list(spec.followers)
     if not fol:
         return actions, 0, 0.0
-    if len(fol) == 1:  # nothing to gather: `jacobi` responds once
-        base, cross = game.aggregate_impact(spec, actions, *fol).values, None
-    else:
-        fixed = actions.copy()
-        fixed[fol] = 0.0
-        base = game.all_impacts(spec, fixed)[fol]
-        cross = (spec.cross_gain[np.ix_(fol, fol)]
-                 * (1.0 - np.eye(len(fol)))[..., None])[None]
+    if len(fol) == 1:  # its own action does not move its impact
+        n = fol[0]
+        actions[n] = _response(spec, n, game.aggregate_impact(
+            spec, actions, n).values, unc.obs_radius[n])
+        return actions, 1, 0.0
+    fixed = actions.copy()
+    fixed[fol] = 0.0
+    base = game.all_impacts(spec, fixed)[fol]
+    cross = (spec.cross_gain[np.ix_(fol, fol)]
+             * (1.0 - np.eye(len(fol)))[..., None])
+    eps = unc.obs_radius[fol]
+    if spec.is_priced and (spec.n_dims == 1 or not np.any(eps > 0)):
+        return _affine_nash(spec, fol, base + eps[:, None], cross, actions)
 
     def respond(f, rows):
         return np.stack([_response(spec, n, f[0, i], unc.obs_radius[n])
@@ -218,7 +240,7 @@ def _followers_fixed_point(spec, leaders_profile, unc):
 
     try:
         eq, sweeps, residual = lockstep.jacobi(
-            respond, base.reshape(1, len(fol), -1), cross, actions[None, fol])
+            respond, base[None], cross[None], actions[None, fol])
     except IterationLimitError as exc:
         if np.ndim(exc.last_iterate) == 3:  # the sweeps', not a response's
             actions[fol] = exc.last_iterate[0]
@@ -226,6 +248,69 @@ def _followers_fixed_point(spec, leaders_profile, unc):
         raise
     actions[fol] = eq[0, 0]
     return actions, sweeps, float(residual[0])
+
+
+def _affine_nash(spec, fol, fixed, cross, actions):
+    """Nash equilibrium of priced followers whose reactions are affine.
+
+    `fixed` (Nf, K) holds the followers' observed impacts from all but them,
+    cross (Nf, Nf, K) their cross gains X, zero diagonal.  Per dimension the
+    reactions R(a) = clip(1/c - (fixed + X a)/h) make a box-constrained
+    linear complementarity problem, with one solution when I + diag(1/h) X
+    is a P-matrix (Cottle, Pang & Stone, The Linear Complementarity Problem,
+    1992).  Newton steps on a - R(a), every dimension at once: the Jacobian
+    per dimension is I + diag(free/h) X, `free` marking the unclamped
+    followers, so a step from the solution's clamp state lands on it.  The
+    step is clipped to the box.  A step that does not lower max|R(a) - a|
+    below the least residual reached is replaced by a damped Jacobi step,
+    whose damping halves down to 1/4 as `lockstep.jacobi`'s does; comparing
+    with the least residual, not the last one, keeps a Newton step from
+    undoing the Jacobi steps that follow a stalled one.
+
+    From the followers' rows of `actions` (N, K), to `lockstep.NASH_TOL`;
+    returns the profile with those rows set to the responses R(a), the
+    steps and the residual.  Raises `IterationLimitError` with the (N, K)
+    profile after `lockstep.NASH_SWEEPS` steps.
+    """
+    lo, hi = spec.action_min[fol], spec.action_max[fol]
+    h = spec.cross_gain[fol, fol]
+    inv_h = np.divide(1.0, h, out=np.zeros_like(h), where=h > 0)
+    gains = np.moveaxis(cross, -1, 0)  # (K, Nf, Nf)
+    eye = np.eye(len(fol))
+
+    def respond(a):
+        r = _priced_reaction(spec, fol,
+                             fixed + np.einsum("nmk,mk->nk", cross, a))
+        return r, float(np.max(np.abs(r - a)))
+
+    a = actions[fol]
+    r, res = respond(a)
+    steps, damping, best = 0, 1.0, res
+    while res >= lockstep.NASH_TOL:
+        if steps == lockstep.NASH_SWEEPS:
+            actions[fol] = a
+            raise IterationLimitError(
+                f"followers' Nash iteration did not converge in {steps} "
+                "steps (coupling may violate the P-matrix uniqueness "
+                "condition)", last_iterate=actions, residual=res)
+        steps += 1
+        free = np.where((lo < r) & (r < hi), inv_h, 0.0)
+        try:
+            step = np.linalg.solve(eye + free.T[:, :, None] * gains,
+                                   (a - r).T[:, :, None])
+        except np.linalg.LinAlgError:  # a singular clamp state
+            out = None
+        else:
+            trial = np.clip(a - step[:, :, 0].T, lo, hi)
+            out = respond(trial)
+        if out is None or out[1] >= best:
+            damping = max(0.25, 0.5 * damping)
+            trial = (1.0 - damping) * a + damping * r
+            out = respond(trial)
+        a, (r, res) = trial, out
+        best = min(best, res)
+    actions[fol] = r
+    return actions, steps, res
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +342,18 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
     leader, K = 1); otherwise cyclic sweeps from `start` (the box floors by
     default) until a sweep moves no leader action by `_LEADER_TOL`, at most
     `_LEADER_SWEEPS` of them.  Each evaluation solves the followers' Nash
-    equilibrium (`_followers_fixed_point`), seeded with the previous solve's
-    profile (the box floors at first).
+    equilibrium (`_followers_fixed_point`: exact for affine reactions, which
+    every priced follower has at eps = 0 or K = 1), seeded with the previous
+    solve's profile (the box floors at first).
 
-    Returns the (L, K) actions, the value reached, the sweeps and whether
-    the last sweep converged.
+    Returns the (L, K) actions, the value reached, the sweeps, whether the
+    last sweep converged and the number of followers' Nash solves.
     """
     lo, hi = model_spec.action_min, model_spec.action_max
     followers = list(model_spec.followers)
     f_min = model_spec.action_min[followers]
     f_max = model_spec.action_max[followers]
-    cache = {"profile": model_spec.action_min.copy()}
+    cache = {"profile": model_spec.action_min.copy(), "solves": 0}
 
     def leaders_value(a_l):
         """Summed believed leader utility and the followers' actions."""
@@ -275,6 +361,7 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
         seed[leaders] = a_l
         prof, _, _ = _followers_fixed_point(model_spec, seed, unc)
         cache["profile"] = prof.copy()
+        cache["solves"] += 1
         total = sum(game.utility(model_spec, n, a_l[i],
                                  game.aggregate_impact(model_spec, prof, n).values)
                     for i, n in enumerate(leaders))
@@ -330,7 +417,7 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
         converged = shift < _LEADER_TOL or a_l.size == 1
         if converged:
             break
-    return a_l, reached, sweep, converged
+    return a_l, reached, sweep, converged, cache["solves"]
 
 
 def _locate_kink(gap, free, held):
@@ -391,8 +478,8 @@ def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
         a0, iters, search_notes = _bilevel_budgeted(model_spec, unc, leader,
                                                      restarts, seed)
     else:
-        a_l, _, iters, _ = _bilevel_priced(model_spec, unc, [leader])
-        a0, search_notes = a_l[0], {}
+        a_l, _, iters, _, solves = _bilevel_priced(model_spec, unc, [leader])
+        a0, search_notes = a_l[0], {"nash_solves": solves}
     actions, nash = _realize(spec, unc, [leader], a0)
     notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
              **search_notes, **(notes or {})}

@@ -120,7 +120,8 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
     once, as the single-leader solvers realize theirs: the leaders commit and
     the followers play their Nash equilibrium.  Reports the winning search's
     sweeps and the followers' Nash residual; notes the leaders' summed
-    utility and whether that search's last sweep converged.
+    utility, whether that search's last sweep converged and the followers'
+    Nash solves of every start's search.
     """
     leaders = list(spec.leaders)
     if not leaders:
@@ -130,18 +131,20 @@ def cooperative_leaders_nse(spec, eps=0.0, restarts=20, seed=0):
     rng = np.random.default_rng(seed)
     lo, hi = spec.action_min, spec.action_max
     unc = robust.coerce_uncertainty(spec, eps=eps)
-    best = None
+    best, solves = None, 0
     for r in range(max(restarts, 1)):
         start = None if r == 0 else np.array(
             [lo[n] + rng.uniform(size=spec.n_dims)
              * (np.minimum(hi[n], lo[n] + 10 * (1 + lo[n])) - lo[n])
              for n in leaders])
         outcome = equilibria._bilevel_priced(spec, unc, leaders, start)
+        solves += outcome[4]
         if best is None or outcome[1] > best[1]:
             best = outcome
-    a_l, value, sweeps, converged = best
+    a_l, value, sweeps, converged, _ = best
     actions, nash = equilibria._realize(spec, unc, leaders, a_l)
     return equilibria._make_result(
         "NSE", spec, actions, iterations=sweeps,
         residual=nash.diagnostics.residual,
-        notes={"leaders_social": value, "certified_ascent": converged})
+        notes={"leaders_social": value, "certified_ascent": converged,
+               "nash_solves": solves})

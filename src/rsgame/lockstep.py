@@ -6,7 +6,10 @@ of the one leader; every other player follows.  The followers' response to
 a leader action is their Nash equilibrium, each follower playing its robust
 waterfill against its aggregate impact (`budget.robust_waterfill_batch`):
 one kernel call over all rows with one follower, with several one call over
-rows x followers per sweep of `jacobi`, the Nash iteration of every solver.
+rows x followers per sweep of `jacobi`.  `jacobi` is the Nash iteration of
+every solver whose followers' reactions are not affine: the budgeted
+waterfill, and the priced robust response at K > 1 (`equilibria` solves
+affine priced reactions exactly).
 
 `leader_ascent` is a projected gradient ascent of every leader from several
 starts, all (instance, start) rows in lockstep.  Each step makes one
@@ -42,7 +45,8 @@ from .errors import IterationLimitError
 LADDER = 6
 # freezing step, relative to the leader's budget
 _FREEZE = 1e-10
-# the followers' Nash iteration (`jacobi`): its residual and sweep limit
+# the followers' Nash solves (`jacobi`, and `equilibria`'s exact solve of
+# affine reactions): their residual and sweep or step limit
 NASH_TOL = 1e-12
 NASH_SWEEPS = 500
 

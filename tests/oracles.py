@@ -6,6 +6,8 @@ internals beyond the public utility evaluation, so these stay independent of
 the code paths they check.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -406,3 +408,54 @@ def robust_waterfill_oracle(f, h, lo, hi, budget, eps):
     a, t = lo.copy(), f.copy()
     a[usable], t[usable] = alloc(w, t_u), t_u
     return a, t
+
+
+# ---------------------------------------------------------------------------
+# the followers' Nash equilibrium of affine priced reactions, by enumeration
+# ---------------------------------------------------------------------------
+
+def affine_nash_oracle(h, c, fixed, cross, lo, hi):
+    """Every Nash equilibrium of priced followers with affine reactions.
+
+    Follower n reacts to the others' actions by
+    a_n = clip(1/c_n - (fixed_n + sum_m cross[n, m] a_m) / h_n, lo_n, hi_n)
+    in each dimension, with h > 0 and c > 0; h, fixed, lo and hi are
+    (Nf, K), c is (Nf,) and cross (Nf, Nf, K) with a zero diagonal.  Per
+    dimension every floor/free/ceiling state of the Nf followers is tried:
+    the clamped actions sit on their bounds, the free ones solve their
+    linear first-order conditions, and the state holds when each free action
+    lies in its box and each clamped reaction lies beyond its bound, up to
+    1e-9, which also tells distinct equilibria apart.  Returns per dimension
+    the list of distinct equilibria, each (Nf,).
+    """
+    tol = 1e-9
+    h, fixed, lo, hi = (np.asarray(v, dtype=float) for v in (h, fixed, lo, hi))
+    c, cross = np.asarray(c, dtype=float), np.asarray(cross, dtype=float)
+    nf, k = h.shape
+    out = []
+    for d in range(k):
+        slope = cross[:, :, d] / h[:, d, None]   # row n: cross[n, m] / h_n
+        target = 1.0 / c - fixed[:, d] / h[:, d]
+        found = []
+        for state in itertools.product((-1, 0, 1), repeat=nf):
+            state = np.array(state)
+            free = state == 0
+            if np.any(np.isinf(hi[state > 0, d])):
+                continue
+            a = np.where(state < 0, lo[:, d], hi[:, d])
+            if free.any():
+                system = np.eye(free.sum()) + slope[np.ix_(free, free)]
+                rhs = target[free] - slope[np.ix_(free, ~free)] @ a[~free]
+                try:
+                    a[free] = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+            raw = target - slope @ a
+            holds = np.where(free, (a >= lo[:, d] - tol) & (a <= hi[:, d] + tol),
+                             np.where(state < 0, raw <= lo[:, d] + tol,
+                                      raw >= hi[:, d] - tol))
+            if holds.all() and not any(np.max(np.abs(a - b)) <= tol
+                                       for b in found):
+                found.append(a)
+        out.append(found)
+    return out

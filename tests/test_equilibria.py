@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rsgame as rs
 from rsgame import equilibria, lockstep, robust
@@ -12,7 +14,8 @@ from rsgame.harness import ExperimentConfig, ScenarioSpec, channels
 
 from conftest import (build_e1_spec, crushing_leader_spec, interior_instance,
                       random_priced_multi_follower, random_priced_two_player)
-from oracles import PricedTwoPlayer1D, e1_oracle, grid_argmax_vec
+from oracles import (PricedTwoPlayer1D, affine_nash_oracle, e1_oracle,
+                     grid_argmax_vec)
 
 
 class TestFollowerBestResponse:
@@ -76,6 +79,41 @@ class TestFollowerBestResponse:
         assert eps >= np.linalg.norm(np.maximum(h / c - f, 0.0))
         a = rs.follower_best_response(spec, 0, np.zeros((1, 2)), eps)
         assert np.array_equal(a, np.zeros(2))
+
+    @given(st.data())
+    def test_reaction_falls_as_the_impact_rises(self, data):
+        # a leader's action raises the follower's impact in every dimension
+        k = data.draw(st.integers(1, 3))
+
+        def vector(low, high):
+            return np.array(data.draw(st.lists(st.floats(low, high),
+                                               min_size=k, max_size=k)))
+
+        h, x, noise = vector(0.1, 3.0), vector(0.0, 2.0), vector(0.01, 1.0)
+        cross = np.zeros((2, 2, k))
+        cross[1, 0] = x
+        spec = rs.make_spec(
+            direct=np.stack([np.ones(k), h]), cross=cross,
+            noise=np.stack([np.ones(k), noise]), leaders=(0,),
+            action_min=data.draw(st.sampled_from([0.0, 0.1])),
+            action_max=data.draw(st.sampled_from([1.0, 8.0])),
+            price=[1.0, data.draw(st.floats(0.05, 2.0))])
+        eps = data.draw(st.sampled_from([0.0, 0.04])) if k == 1 else 0.0
+        quiet, loud = sorted(data.draw(st.floats(0.0, 5.0)) for _ in range(2))
+        low = rs.follower_best_response(spec, 1, [[quiet] * k, [0.0] * k], eps)
+        high = rs.follower_best_response(spec, 1, [[loud] * k, [0.0] * k], eps)
+        assert np.all(high <= low + 1e-12)
+
+    def test_reaction_conventions(self):
+        # per row: h = 0 gives the floor and a zero price the ceiling
+        spec = rs.make_spec(direct=[[1.0, 0.0], [2.0, 1.0]],
+                            cross=np.zeros((2, 2, 2)), noise=0.1, leaders=(),
+                            action_min=0.1, action_max=[[3.0], [5.0]],
+                            price=[0.5, 0.0])
+        a = equilibria._priced_reaction(spec, [0, 1], np.full((2, 2), 0.4))
+        assert np.array_equal(a, [[1.6, 0.1], [5.0, 5.0]])
+        a = equilibria._priced_reaction(spec, [1, 0], np.full((2, 2), 9.0))
+        assert np.array_equal(a, [[5.0, 5.0], [0.1, 0.1]])
 
 
 def symmetric_followers_spec(x=0.2, box=8.0, noise=0.1):
@@ -150,15 +188,19 @@ class TestFollowersNash:
 
     def test_iteration_limit_error_carries_iterate(self, monkeypatch):
         monkeypatch.setattr(lockstep, "NASH_SWEEPS", 1)
-        led = random_priced_multi_follower(np.random.default_rng(5))
-        for spec in (symmetric_followers_spec(0.2), led):
-            start = np.zeros((spec.n_players, 1))
+        # affine reactions whose Newton solve shuts a follower off in its
+        # second step, and K = 2 robust reactions, which `jacobi` sweeps
+        affine = random_priced_multi_follower(np.random.default_rng(10),
+                                              n_followers=3)
+        swept = random_priced_multi_follower(np.random.default_rng(5), k=2)
+        for spec, eps in ((affine, 0.0), (swept, 0.04)):
+            start = np.zeros((spec.n_players, spec.n_dims))
             start[list(spec.leaders)] = 0.7
             with pytest.raises(IterationLimitError) as exc_info:
-                rs.followers_nash(spec, start)
+                rs.followers_nash(spec, start, eps=eps)
             # the whole (N, K) profile, the leaders' rows as they were given
             last = exc_info.value.last_iterate
-            assert last.shape == (spec.n_players, 1)
+            assert last.shape == start.shape
             assert np.array_equal(last[list(spec.leaders)],
                                   start[list(spec.leaders)])
             assert exc_info.value.residual > 0
@@ -169,9 +211,11 @@ class TestFollowersNash:
                                       residual=1.0)
 
         monkeypatch.setattr(equilibria, "_response", fail)
-        for spec in (build_e1_spec(), symmetric_followers_spec(0.2)):
+        # a lone follower's one response and a budgeted pair's sweeps
+        for spec in (build_e1_spec(), three_player_budgeted_spec()):
             with pytest.raises(IterationLimitError, match="response") as exc:
-                rs.followers_nash(spec, np.zeros((2, 1)))
+                rs.followers_nash(spec, np.zeros((spec.n_players,
+                                                  spec.n_dims)))
             assert np.array_equal(exc.value.last_iterate, np.ones(1))
 
     def test_fixed_point_helper_equals_the_result(self):
@@ -191,6 +235,109 @@ class TestFollowersNash:
                 assert np.array_equal(actions, full.profile.actions)
                 assert sweeps == full.diagnostics.iterations
                 assert residual == full.diagnostics.residual
+
+
+def draw_affine_followers(rng):
+    """Priced followers with affine reactions, behind one leader at a fixed
+    action: 2-4 followers, K 1-3, couplings up to 0.9 sqrt(h_i h_j), floors
+    0 or 0.1, ceilings 1 or 8; eps 0 at K > 1 and 0, 0.04 or 0.5 at K = 1."""
+    nf, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    n = nf + 1
+    h = rng.uniform(0.5, 2.0, size=(n, k))
+    cross = (rng.uniform(0.0, 0.9, size=(n, n, k))
+             * np.sqrt(h[:, None] * h[None, :]) * (1.0 - np.eye(n))[..., None])
+    lo = rng.choice([0.0, 0.1], size=(n, k))
+    spec = rs.make_spec(direct=h, cross=cross,
+                        noise=rng.uniform(0.05, 0.3, size=(n, k)),
+                        leaders=(0,), action_min=lo,
+                        action_max=rng.choice([1.0, 8.0], size=(n, k)),
+                        price=rng.uniform(0.4, 1.2, size=n))
+    profile = lo.copy()
+    profile[0] = rng.uniform(lo[0], spec.action_max[0])
+    eps = 0.0 if k > 1 else float(rng.choice([0.0, 0.04, 0.5]))
+    return spec, profile, eps
+
+
+def oracle_followers_nash(spec, profile, eps):
+    """`affine_nash_oracle` on the followers of `spec` against the leaders
+    in `profile`, observing their impacts eps too high (K = 1 or eps = 0)."""
+    fol, lead = list(spec.followers), list(spec.leaders)
+    g = np.asarray(spec.cross_gain)
+    fixed = (spec.noise[fol] + eps
+             + np.einsum("nlk,lk->nk", g[np.ix_(fol, lead)], profile[lead]))
+    return affine_nash_oracle(
+        g[fol, fol], spec.utility_model.price[fol], fixed,
+        g[np.ix_(fol, fol)] * (1.0 - np.eye(len(fol)))[..., None],
+        spec.action_min[fol], spec.action_max[fol])
+
+
+class TestAffineNash:
+    """The exact followers' Nash of priced reactions at eps = 0 or K = 1."""
+
+    def test_agrees_with_the_enumeration_oracle(self):
+        rng = np.random.default_rng(16)
+        unique = 0
+        for _ in range(1000):
+            spec, profile, eps = draw_affine_followers(rng)
+            found = oracle_followers_nash(spec, profile, eps)
+            if any(len(per_dim) != 1 for per_dim in found):
+                continue
+            unique += 1
+            nash = np.stack([per_dim[0] for per_dim in found], axis=1)
+            res = rs.followers_nash(spec, profile, eps=eps)
+            got = res.profile.actions[list(spec.followers)]
+            assert np.max(np.abs(got - nash)) <= 1e-12
+            assert res.diagnostics.residual < lockstep.NASH_TOL
+        assert unique >= 900
+
+    def test_strong_coupling_game_the_sweeps_could_not_solve(self):
+        # three followers, K = 1, eps = 0.04: I + diag(1/h) X is a P-matrix
+        # (least principal minor 0.84), yet 500 damped Jacobi sweeps did
+        # not converge on it
+        gains = np.array([[1.487, 0.668, 0.35, 0.375],
+                          [0.377, 1.85, 0.26, 1.167],
+                          [0.845, 1.309, 1.18, 0.072],
+                          [1.152, 0.259, 0.945, 1.158]])
+        spec = rs.make_spec(direct=np.diag(gains)[:, None],
+                            cross=(gains * (1.0 - np.eye(4)))[..., None],
+                            noise=[[0.152], [0.209], [0.075], [0.243]],
+                            leaders=(0,),
+                            action_min=[[0.0], [0.0], [0.0], [0.1]],
+                            action_max=[[1.0], [8.0], [8.0], [8.0]],
+                            price=[1.113, 0.488, 0.426, 0.827])
+        coupling = np.eye(3) + gains[1:, 1:] * (1.0 - np.eye(3)) / np.diag(
+            gains)[1:, None]
+        assert rs.is_p_matrix(coupling)
+        profile = np.array([[0.258], [0.0], [0.0], [0.1]])
+        (nash,), = oracle_followers_nash(spec, profile, 0.04)
+        res = rs.followers_nash(spec, profile, eps=0.04)
+        assert np.max(np.abs(res.profile.actions[1:, 0] - nash)) <= 1e-12
+
+    def test_singular_clamp_state_takes_a_jacobi_step(self):
+        # x = h: with both followers free I + diag(1/h) X is singular, and
+        # every a1 + a2 = 1.9 is an equilibrium; the damped Jacobi step from
+        # zero lands on the symmetric one
+        res = rs.followers_nash(symmetric_followers_spec(1.0),
+                                np.zeros((2, 1)))
+        assert res.profile.actions == pytest.approx(np.full((2, 1), 0.95),
+                                                    abs=1e-15)
+        assert res.diagnostics.iterations == 1
+
+    def test_zero_price_follower_sits_on_its_ceiling(self):
+        # a constant reaction: the other follower answers its ceiling
+        cross = np.zeros((2, 2, 1))
+        cross[0, 1] = cross[1, 0] = 0.4
+        spec = rs.make_spec(direct=[[1.0], [1.0]], cross=cross, noise=0.1,
+                            leaders=(), action_max=[[2.0], [8.0]],
+                            price=[0.0, 0.5])
+        res = rs.followers_nash(spec, np.zeros((2, 1)))
+        assert res.profile.actions[:, 0] == pytest.approx(
+            [2.0, 2.0 - 0.1 - 0.4 * 2.0], abs=1e-15)
+        unbounded = rs.make_spec(direct=[[1.0], [1.0]], cross=cross,
+                                 noise=0.1, leaders=(), action_max=np.inf,
+                                 price=[0.0, 0.5])
+        with pytest.raises(DegenerateModelError):
+            rs.followers_nash(unbounded, np.zeros((2, 1)))
 
 
 class TestSolveNse:
@@ -394,6 +541,41 @@ class TestSolveRse1:
         rse = rs.solve_rse1(spec, 0.1)
         assert rse.utilities[0] == pytest.approx(nse.utilities[0], abs=1e-9)
         assert rse.utilities[1] < nse.utilities[1]
+
+    def test_rse1_does_no_worse_than_the_nse_action(self):
+        # case 1 only shrinks a priced follower's reaction, so the NSE leader
+        # action against the robust followers bounds the RSE1 leader below
+        rng = np.random.default_rng(62)
+        for n_followers in (1, 2, 3):
+            for _ in range(5):
+                spec = (random_priced_two_player(rng) if n_followers == 1
+                        else random_priced_multi_follower(
+                            rng, n_followers=n_followers))
+                committed = spec.action_min.copy()
+                committed[0] = rs.solve_nse(spec).profile.actions[0]
+                for eps in (0.02, 0.04):
+                    held = rs.followers_nash(spec, committed, eps=eps)
+                    rse1 = rs.solve_rse1(spec, eps)
+                    assert rse1.utilities[0] >= held.utilities[0] - 1e-9
+
+    def test_priced_results_count_their_nash_solves(self, monkeypatch):
+        # every followers' Nash solve of the leader search, and one more
+        # for the realization
+        calls = []
+        solve = equilibria._followers_fixed_point
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(equilibria, "_followers_fixed_point", counted)
+        spec = random_priced_multi_follower(np.random.default_rng(3))
+        for run in (lambda: rs.solve_nse(spec),
+                    lambda: rs.solve_rse1(spec, 0.04),
+                    lambda: rs.solve_rse2(spec, 0.04, 0.04)):
+            calls.clear()
+            notes = run().diagnostics.notes
+            assert notes["nash_solves"] == len(calls) - 1 > 0
 
 
 class TestRse1ClosedForm:

@@ -86,12 +86,14 @@ def _nash_cases():
 @pytest.mark.parametrize("case", sorted(_nash_cases()))
 def test_followers_nash(benchmark, case):
     # priced, K = 1: a lone follower (one response) and two coupled
-    # followers (Jacobi sweeps, nominal and robust); the budgeted three-player
-    # game of the equilibria tests (one robust waterfill per follower a sweep)
+    # followers (the exact solve's Newton steps, nominal and robust); the
+    # budgeted three-player game of the equilibria tests (Jacobi sweeps, one
+    # robust waterfill per follower a sweep)
     spec, profile, eps = _nash_cases()[case]
     res = benchmark(rs.followers_nash, spec, profile, eps)
     assert res.diagnostics.residual < 1e-12
-    assert (res.diagnostics.iterations == 1) == (len(spec.followers) == 1)
+    # from the followers' floors: one response, or one Newton step
+    assert (res.diagnostics.iterations == 1) == spec.is_priced
 
 
 @pytest.mark.bench

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibria, game
-from .errors import SOLVER_ERRORS, InvalidSpecError, UndefinedBaselineError
+from .errors import SOLVER_ERRORS, InvalidSpecError
 
 _THETA_HI = 10.0       # R1: both SINRs above
 _THETA_LO = 0.1        # R2: both SINRs below
 _THETA_PROX = 0.2      # R3: relative gap of the two impacts below
 ORDERING_SLACK = 1e-9  # utility change an ordering forgives
 PREDICTION_SLACK = 1e-6  # relative social change a triggered prediction forgives
+ZERO_BASELINE = 1e-12  # a nominal utility this close to 0 has no relative d
 
 
 @dataclass(frozen=True)
@@ -166,23 +167,66 @@ def classify_regime(spec, profile):
 
 
 def delta_metrics(nse, rse):
-    """d_n = (w_n^rse - w_n^nse) / w_n^nse per player, and the social analog."""
+    """d_n = (w_n^rse - w_n^nse) / w_n^nse per player, and the social analog.
+
+    A d whose nominal utility is within `ZERO_BASELINE` of zero (a player
+    shut off at the NSE) is NaN; every other d is kept.
+    """
     base = np.asarray(nse.utilities, dtype=float)
     new = np.asarray(rse.utilities, dtype=float)
-    if np.any(np.abs(base) <= 1e-12) or abs(nse.social) <= 1e-12:
-        raise UndefinedBaselineError("nominal utility too close to zero for a "
-                                     "relative metric")
-    return DeltaMetrics(per_player=(new - base) / base,
-                        social=(rse.social - nse.social) / nse.social)
+    per_player = np.full(base.shape, np.nan)
+    np.divide(new - base, base, out=per_player,
+              where=np.abs(base) > ZERO_BASELINE)
+    social = (float("nan") if abs(nse.social) <= ZERO_BASELINE
+              else (rse.social - nse.social) / nse.social)
+    return DeltaMetrics(per_player=per_player, social=social)
+
+
+def _predicted(conditions, kind):
+    """C1 and C2 (case 1, RSE1) or C3 and C4 (case 2) on every dimension."""
+    all_k = conditions.all_k if conditions is not None else None
+    names = ("c1", "c2") if kind == "RSE1" else ("c3", "c4")
+    return bool(all_k and all(all_k.get(name) for name in names))
 
 
 @dataclass(frozen=True)
-class OrderingRow:
-    radius: float
-    result: object = None   # EquilibriumResult
-    d: object = None        # DeltaMetrics
+class Grade:
+    """One robust result against its NSE: case 1 (RSE1) moves the leader up
+    and the follower down, case 2 (RSE2) the reverse, up to `ORDERING_SLACK`;
+    `matched` is d.social >= -`PREDICTION_SLACK`, or None where the case's
+    prediction makes no claim (conditions not triggered, or d.social NaN)."""
+
+    d: object = None            # DeltaMetrics, NaN where undefined
     leader_ok: bool = None
-    follower_ok: bool = None
+    follower_ok: bool = None    # None in a game without a follower
+    matched: bool = None
+
+
+def grade(nse, result, leader, follower, conditions):
+    """Grade one (nse, result) pair; the case is read off `result.kind`.
+    `conditions` is the `ConditionReport` at `nse` (None: no prediction)."""
+    d = delta_metrics(nse, result)
+    sign = 1.0 if result.kind == "RSE1" else -1.0  # case 1: leader up
+    leader_ok = bool(sign * (result.utilities[leader] - nse.utilities[leader])
+                     >= -ORDERING_SLACK)
+    follower_ok = None
+    if follower is not None:
+        follower_ok = bool(sign * (result.utilities[follower]
+                                   - nse.utilities[follower]) <= ORDERING_SLACK)
+    matched = None
+    if _predicted(conditions, result.kind) and np.isfinite(d.social):
+        matched = bool(d.social >= -PREDICTION_SLACK)
+    return Grade(d=d, leader_ok=leader_ok, follower_ok=follower_ok,
+                 matched=matched)
+
+
+@dataclass(frozen=True)
+class OrderingRow(Grade):
+    """A `Grade` at one radius of `ordering_report`'s grids; a row whose
+    solve raised a solver error holds only `radius` and `error`."""
+
+    radius: float = None
+    result: object = None   # EquilibriumResult
     error: str = None
 
 
@@ -206,44 +250,34 @@ class OrderingReport:
 
 
 def ordering_report(spec, eps_grid, delta_grid):
-    """Solve the nominal and robust games over both grids and grade orderings.
+    """Solve the nominal and robust games over both grids and grade them.
 
-    Case-1 rows check leader-up / follower-down vs the nominal equilibrium,
-    case-2 rows the reverse, each up to `ORDERING_SLACK`.  A solver error
+    Every row is `grade`d; a case's prediction is matched on its smallest
+    radius and holds where it makes no claim.  A solver error
     (`errors.SOLVER_ERRORS`) marks its row inconclusive; any other exception
-    propagates.  A row whose nominal baseline utility is zero keeps its
-    result and verdicts with `d = None`, and no prediction is graded on it.
+    propagates.
     """
     eps_grid = [float(e) for e in eps_grid]
     delta_grid = [float(d) for d in delta_grid]
-    if not eps_grid or eps_grid[0] != 0.0 or not delta_grid or delta_grid[0] != 0.0:
-        raise InvalidSpecError("grids must be ascending and start at 0")
+    for grid in (eps_grid, delta_grid):
+        if not grid or grid[0] != 0.0 or grid != sorted(grid):
+            raise InvalidSpecError("grids must be ascending and start at 0")
     leader = spec.leaders[0]
     fol = spec.followers[0]
     nse = equilibria.solve_nse(spec)
     conditions = check_conditions(spec, nse)
 
-    def grade(radius, solve, leader_up):
+    def row(radius, solve):
         try:
             res = solve(radius)
         except SOLVER_ERRORS as exc:  # row marked inconclusive
             return OrderingRow(radius=radius, error=f"{type(exc).__name__}: {exc}")
-        try:
-            d = delta_metrics(nse, res)
-        except UndefinedBaselineError:
-            d = None  # a player shut off at the NSE: no relative change
-        dl = res.utilities[leader] - nse.utilities[leader]
-        df = res.utilities[fol] - nse.utilities[fol]
-        if leader_up:
-            ok_l, ok_f = dl >= -ORDERING_SLACK, df <= ORDERING_SLACK
-        else:
-            ok_l, ok_f = dl <= ORDERING_SLACK, df >= -ORDERING_SLACK
-        return OrderingRow(radius=radius, result=res, d=d,
-                           leader_ok=bool(ok_l), follower_ok=bool(ok_f))
+        return OrderingRow(radius=radius, result=res,
+                           **vars(grade(nse, res, leader, fol, conditions)))
 
-    case1 = tuple(grade(e, lambda e_: equilibria.solve_rse1(spec, e_), True)
+    case1 = tuple(row(e, lambda e_: equilibria.solve_rse1(spec, e_))
                   for e in eps_grid if e > 0)
-    case2 = tuple(grade(dd, lambda d_: equilibria.solve_rse2(spec, 0.0, d_), False)
+    case2 = tuple(row(dd, lambda d_: equilibria.solve_rse2(spec, 0.0, d_))
                   for dd in delta_grid if dd > 0)
 
     prop3_ok = True  # no claim without both radii or on an inconclusive row
@@ -253,14 +287,8 @@ def ordering_report(spec, eps_grid, delta_grid):
         prop3_ok = bool(rse2.utilities[leader]
                         <= rse1.utilities[leader] + ORDERING_SLACK)
 
-    def matched(rows, predicted):
-        if not predicted or not rows or rows[0].d is None:
-            return True  # the prediction makes no claim here
-        return bool(rows[0].d.social >= -PREDICTION_SLACK)
-
-    c1c2 = bool(conditions.all_k.get("c1", False) and conditions.all_k.get("c2", False))
-    c3c4 = bool(conditions.all_k.get("c3", False) and conditions.all_k.get("c4", False))
     return OrderingReport(nse=nse, case1=case1, case2=case2, prop3_ok=prop3_ok,
-                          case1_predicted=c1c2, case2_predicted=c3c4,
-                          case1_matched=matched(case1, c1c2),
-                          case2_matched=matched(case2, c3c4))
+                          case1_predicted=_predicted(conditions, "RSE1"),
+                          case2_predicted=_predicted(conditions, "RSE2"),
+                          case1_matched=not case1 or case1[0].matched is not False,
+                          case2_matched=not case2 or case2[0].matched is not False)

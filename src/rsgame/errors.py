@@ -34,10 +34,6 @@ class CombinatorialLimitError(ValueError):
     """An exhaustive check was requested beyond its tractable size."""
 
 
-class UndefinedBaselineError(ValueError):
-    """A relative metric was requested against a (numerically) zero baseline."""
-
-
 class InfeasibleScenarioError(RuntimeError):
     """Rejection sampling for a scenario filter exceeded its draw budget."""
 

@@ -13,8 +13,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .. import analysis, budget as budget_mod, equilibria
-from ..errors import (SOLVER_ERRORS, ConfigError, SchemaVersionError,
-                      UndefinedBaselineError)
+from ..errors import SOLVER_ERRORS, ConfigError, SchemaVersionError
 from . import channels, svgplot
 
 SCHEMA = "rsgame-sweep v1"
@@ -22,13 +21,18 @@ SCHEMA = "rsgame-sweep v1"
 
 @dataclass(frozen=True)
 class EnsembleRecord:
-    """Everything computed for one drawn instance."""
+    """Everything computed for one drawn instance.
+
+    `grades` holds each robust result's `analysis.Grade` against the NSE:
+    its d (NaN for a zero nominal utility), the leader's and the first
+    follower's orderings and the prediction verdict.
+    """
 
     instance: int
     gains: np.ndarray
     results: dict      # (kind, radius) -> EquilibriumResult
     conditions: object  # ConditionReport at the nominal equilibrium
-    d_metrics: dict    # (kind, radius) -> DeltaMetrics
+    grades: dict       # (kind, radius) -> analysis.Grade, robust kinds only
     overlap: dict      # (kind, radius) -> OverlapStats
 
 
@@ -88,7 +92,7 @@ def _activity_threshold(spec):
     return 1e-6 * scale
 
 
-def _row(n, k, instance, kind, eps, delta, res, d, conds, overlap):
+def _row(n, k, instance, kind, eps, delta, res, grade, conds, overlap):
     a = res.profile.actions
     vals = [instance, kind, eps, delta]
     vals += [a[p, dd] for p in range(n) for dd in range(k)]
@@ -96,11 +100,9 @@ def _row(n, k, instance, kind, eps, delta, res, d, conds, overlap):
     vals += [res.social]
     if kind == "NSE":
         vals += ["0"] * (n + 1)
-    elif d is None:
-        vals += [""] * (n + 1)  # undefined baseline: left blank
-    else:
-        vals += [d.per_player[p] for p in range(n)]
-        vals += [d.social]
+    else:  # an undefined (NaN) d is left blank
+        vals += [x if np.isfinite(x) else None
+                 for x in (*grade.d.per_player, grade.d.social)]
     for name in ("c1", "c2", "c3", "c4"):
         flag = conds.all_k.get(name) if conds is not None and conds.all_k else None
         vals.append(None if flag is None else bool(flag))
@@ -124,18 +126,16 @@ def solve_instance(config, spec, instance):
     conds = None
     if spec.n_players >= 2 and len(spec.leaders) == 1:
         conds = analysis.check_conditions(spec, nse)
-    d_metrics, overlap = {}, {}
+    fol = spec.followers[0] if spec.followers else None
+    grades, overlap = {}, {}
     thr = _activity_threshold(spec)
     for key, res in results.items():
         overlap[key] = budget_mod.overlap_stats(res.profile, thr)
         if key[0] != "NSE":
-            try:
-                d_metrics[key] = analysis.delta_metrics(nse, res)
-            except UndefinedBaselineError:
-                d_metrics[key] = None  # blank in the CSV, skipped in grading
+            grades[key] = analysis.grade(nse, res, spec.leaders[0], fol, conds)
     return EnsembleRecord(instance=instance, gains=spec.cross_gain,
                           results=results, conditions=conds,
-                          d_metrics=d_metrics, overlap=overlap)
+                          grades=grades, overlap=overlap)
 
 
 def run_experiment(config, quiet=False):
@@ -173,22 +173,20 @@ def run_experiment(config, quiet=False):
                                           key=lambda kv: (kv[0][0], kv[0][1])):
             eps = radius if kind == "RSE1" else 0.0
             delta = radius if kind == "RSE2" else 0.0
-            d = rec.d_metrics.get((kind, radius))
-            lines.append(_row(n, k, rec.instance, kind, eps, delta, res, d,
-                              rec.conditions, rec.overlap[(kind, radius)]))
+            lines.append(_row(n, k, rec.instance, kind, eps, delta, res,
+                              rec.grades.get((kind, radius)), rec.conditions,
+                              rec.overlap[(kind, radius)]))
     write_csv(csv_path, lines)
 
-    # every instance shares the config's roles: grade and plot the leader
+    # every instance shares the config's roles: count and plot the leader
     # against the first follower (a one-player sweep has none)
     leader = config.leaders[0]
     followers = [p for p in range(n) if p not in config.leaders]
-    orderings = {}
+    orderings = _count_orderings(records) if followers else {}
+    agreement = _count_agreement(config, records)
     svg_paths = ()
-    if followers:
-        orderings = _grade_orderings(records, leader, followers[0])
-        if config.format == "csv+svg":
-            svg_paths = _write_svgs(config, records, leader, followers[0])
-    agreement = _grade_agreement(records)
+    if followers and config.format == "csv+svg":
+        svg_paths = _write_svgs(config, records, leader, followers[0])
     if not quiet:
         _print_summary(config, records, failures, orderings, agreement)
     return ExperimentSummary(records=tuple(records), csv_path=csv_path,
@@ -196,91 +194,66 @@ def run_experiment(config, quiet=False):
                              orderings=orderings, agreement=agreement)
 
 
-def _grade_orderings(records, leader, fol):
-    slack = analysis.ORDERING_SLACK
-    checks = {"case1_leader_up": [0, 0], "case1_follower_down": [0, 0],
-              "case2_leader_down": [0, 0], "case2_follower_up": [0, 0]}
+def _count_orderings(records):
+    """(passed, graded) per ordering over every robust result."""
+    names = {"RSE1": ("case1_leader_up", "case1_follower_down"),
+             "RSE2": ("case2_leader_down", "case2_follower_up")}
+    out = {name: [0, 0] for pair in names.values() for name in pair}
     for rec in records:
-        nse = rec.results[("NSE", 0.0)]
-        for (kind, radius), res in rec.results.items():
-            if kind == "RSE1":
-                checks["case1_leader_up"][0] += res.utilities[leader] >= nse.utilities[leader] - slack
-                checks["case1_leader_up"][1] += 1
-                checks["case1_follower_down"][0] += res.utilities[fol] <= nse.utilities[fol] + slack
-                checks["case1_follower_down"][1] += 1
-            elif kind == "RSE2":
-                checks["case2_leader_down"][0] += res.utilities[leader] <= nse.utilities[leader] + slack
-                checks["case2_leader_down"][1] += 1
-                checks["case2_follower_up"][0] += res.utilities[fol] >= nse.utilities[fol] - slack
-                checks["case2_follower_up"][1] += 1
-    return {name: (int(ok), int(total)) for name, (ok, total) in checks.items()}
+        for (kind, _), g in rec.grades.items():
+            for name, ok in zip(names[kind], (g.leader_ok, g.follower_ok)):
+                out[name][0] += ok
+                out[name][1] += 1
+    return {name: tuple(v) for name, v in out.items()}
 
 
-def _grade_agreement(records):
-    """First-order condition/prediction agreement at the smallest radii."""
-    out = {"case1": [0, 0], "case2": [0, 0]}
-    for rec in records:
-        if rec.conditions is None or rec.conditions.all_k is None:
-            continue
-        all_k = rec.conditions.all_k
-        rse1 = [(r, v) for (kind, r), v in rec.results.items() if kind == "RSE1"]
-        rse2 = [(r, v) for (kind, r), v in rec.results.items() if kind == "RSE2"]
-        if rse1 and all_k.get("c1") and all_k.get("c2"):
-            d = rec.d_metrics.get(("RSE1", min(rse1)[0]))
-            if d is not None:
-                out["case1"][1] += 1
-                out["case1"][0] += d.social >= -analysis.PREDICTION_SLACK
-        if rse2 and all_k.get("c3") and all_k.get("c4"):
-            d = rec.d_metrics.get(("RSE2", min(rse2)[0]))
-            if d is not None:
-                out["case2"][1] += 1
-                out["case2"][0] += d.social >= -analysis.PREDICTION_SLACK
-    return {name: (int(ok), int(total)) for name, (ok, total) in out.items()}
+def _count_agreement(config, records):
+    """(matched, claimed) per case's prediction at its smallest radius."""
+    out = {}
+    for case, kind, grid in (("case1", "RSE1", config.eps_grid),
+                             ("case2", "RSE2", config.delta_grid)):
+        key = (kind, next((r for r in grid if r > 0), None))
+        claims = [rec.grades[key].matched for rec in records if key in rec.grades]
+        claims = [m for m in claims if m is not None]
+        out[case] = (sum(claims), len(claims))
+    return out
 
 
 def _write_svgs(config, records, leader, fol):
+    """Each case's d against its radius on the first instance whose every d
+    is defined (else the first), and the CDF of the follower's d at the
+    largest eps; undefined d values are left out."""
+    def finite(points):
+        return tuple(zip(*[(x, y) for x, y in points if np.isfinite(y)]))
+
+    rec = next((r for r in records if all(
+        np.isfinite(g.d.per_player).all() and np.isfinite(g.d.social)
+        for g in r.grades.values())), records[0])
     paths = []
-    rec = next((r for r in records
-                if all(v is not None for v in r.d_metrics.values())),
-               records[0])
-    eps_nz = [e for e in config.eps_grid if e > 0
-              if rec.d_metrics.get(("RSE1", e)) is not None]
-    delta_nz = [d for d in config.delta_grid if d > 0
-                if rec.d_metrics.get(("RSE2", d)) is not None]
-    if eps_nz:
-        series = {
-            "leader d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[leader]
-                                  for e in eps_nz]),
-            "follower d": (eps_nz, [rec.d_metrics[("RSE1", e)].per_player[fol]
-                                    for e in eps_nz]),
-            "social d": (eps_nz, [rec.d_metrics[("RSE1", e)].social
-                                  for e in eps_nz]),
-        }
-        path = os.path.join(config.out_dir, "case1_d_vs_eps.svg")
-        svgplot.write_svg(path, svgplot.line_plot(
-            series, title="relative utility change vs observation radius",
-            xlabel="eps", ylabel="d"))
-        paths.append(path)
-    if delta_nz:
-        series = {
-            "leader d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[leader]
-                                    for d in delta_nz]),
-            "follower d": (delta_nz, [rec.d_metrics[("RSE2", d)].per_player[fol]
-                                      for d in delta_nz]),
-        }
-        path = os.path.join(config.out_dir, "case2_d_vs_delta.svg")
-        svgplot.write_svg(path, svgplot.line_plot(
-            series, title="relative utility change vs information radius",
-            xlabel="delta", ylabel="d"))
-        paths.append(path)
-    if eps_nz and len(records) > 1:
-        d1 = [r.d_metrics[("RSE1", max(eps_nz))].per_player[fol] for r in records
-              if r.d_metrics.get(("RSE1", max(eps_nz))) is not None]
-        values, fractions = np.sort(d1), np.arange(1, len(d1) + 1) / len(d1)
+    for kind, grid, name, what, xlabel in (
+            ("RSE1", config.eps_grid, "case1_d_vs_eps", "observation", "eps"),
+            ("RSE2", config.delta_grid, "case2_d_vs_delta", "information", "delta")):
+        ds = [(r, rec.grades[(kind, r)].d) for r in grid if r > 0]
+        series = {"leader d": finite((r, d.per_player[leader]) for r, d in ds),
+                  "follower d": finite((r, d.per_player[fol]) for r, d in ds),
+                  "social d": finite((r, d.social) for r, d in ds
+                                     if kind == "RSE1")}
+        series = {label: xy for label, xy in series.items() if xy}
+        if series:
+            path = os.path.join(config.out_dir, name + ".svg")
+            svgplot.write_svg(path, svgplot.line_plot(
+                series, title=f"relative utility change vs {what} radius",
+                xlabel=xlabel, ylabel="d"))
+            paths.append(path)
+    key = ("RSE1", config.eps_grid[-1])
+    d1 = np.sort([r.grades[key].d.per_player[fol] for r in records
+                  if key in r.grades])
+    d1 = d1[np.isfinite(d1)]
+    if d1.size and len(records) > 1:
         path = os.path.join(config.out_dir, "cdf_d1_rse1.svg")
         svgplot.write_svg(path, svgplot.cdf_plot(
-            values, fractions, title="empirical cdf of follower d (case 1)",
-            xlabel="d1"))
+            d1, np.arange(1, d1.size + 1) / d1.size,
+            title="empirical cdf of follower d (case 1)", xlabel="d1"))
         paths.append(path)
     return tuple(paths)
 
@@ -328,10 +301,11 @@ def load_rows(csv_path):
         for c in w_cols:
             d_col = "d" + c[1:]
             if row[d_col] == "":
-                continue  # undefined baseline was recorded as blank
+                continue  # an undefined d was recorded as blank
             base, new = float(nse[c]), float(row[c])
             stored = float(row[d_col])
-            if abs(base) > 1e-12 and abs((new - base) / base - stored) > 1e-12:
+            if (abs(base) > analysis.ZERO_BASELINE
+                    and abs((new - base) / base - stored) > 1e-12):
                 raise ValueError(f"stored {d_col} disagrees with utilities "
                                  f"in row {row}")
     return rows

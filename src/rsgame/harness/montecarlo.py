@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import lockstep
+from .. import analysis, lockstep
 from ..errors import ConfigError
 from . import channels
 
@@ -165,7 +165,7 @@ def monte_carlo_cdf(config, eps=None):
         w1_nse, w1_r = (np.log1p(h11 * res.followers[:, 0]
                                  / (sigma1 + h10 * res.actions)).sum(axis=1)
                         for res in (nse, rob))
-        ok = np.abs(w1_nse) > 1e-12
+        ok = np.abs(w1_nse) > analysis.ZERO_BASELINE
         excluded += int((~ok).sum())
         d1_parts.append((w1_r[ok] - w1_nse[ok]) / w1_nse[ok])
     if excluded > 0.05 * config.ensemble_size:

@@ -5,7 +5,7 @@ import pytest
 
 import rsgame as rs
 from rsgame import analysis
-from rsgame.errors import IterationLimitError, UndefinedBaselineError
+from rsgame.errors import InvalidSpecError, IterationLimitError
 
 from conftest import (build_e1_spec, crushing_leader_spec,
                       random_priced_two_player)
@@ -134,14 +134,23 @@ class TestDeltaMetrics:
         manual = (rse1.utilities - nse.utilities) / nse.utilities
         assert np.max(np.abs(d.per_player - manual)) <= 1e-12
 
-    def test_zero_baseline_rejected(self, e1_spec):
+    def test_zero_baseline_blanks_only_its_own_d(self, e1_spec):
         nse = rs.solve_nse(e1_spec)
-        zeroed = rs.equilibria.EquilibriumResult(
-            kind="NSE", profile=nse.profile,
-            utilities=np.array([0.0, 1.0]), social=1.0,
-            diagnostics=nse.diagnostics)
-        with pytest.raises(UndefinedBaselineError):
-            analysis.delta_metrics(zeroed, nse)
+
+        def result(kind, utilities):
+            return rs.equilibria.EquilibriumResult(
+                kind=kind, profile=nse.profile, utilities=np.array(utilities),
+                social=float(sum(utilities)), diagnostics=nse.diagnostics)
+
+        d = analysis.delta_metrics(result("NSE", [0.0, 2.0]),
+                                   result("RSE1", [0.5, 1.0]))
+        assert np.isnan(d.per_player[0])
+        assert d.per_player[1] == (1.0 - 2.0) / 2.0
+        assert d.social == (1.5 - 2.0) / 2.0
+        # only a zero social baseline blanks the social d
+        d = analysis.delta_metrics(result("NSE", [0.0, 0.0]),
+                                   result("RSE1", [0.5, 1.0]))
+        assert np.isnan(d.per_player).all() and np.isnan(d.social)
 
 
 def low_sinr_c1_violating_spec():
@@ -198,21 +207,32 @@ class TestOrderingReport:
             analysis.ordering_report(e1_spec, [0.0, 0.05], [0.0])
 
     def test_grids_must_start_at_zero(self, e1_spec):
-        with pytest.raises(Exception):
-            analysis.ordering_report(e1_spec, [0.05], [0.0])
+        for eps_grid, delta_grid in (([0.05], [0.0]),
+                                     ([0.0, 0.1, 0.05], [0.0]),
+                                     ([0.0], [0.0, 0.1, 0.05])):
+            with pytest.raises(InvalidSpecError, match="ascending"):
+                analysis.ordering_report(e1_spec, eps_grid, delta_grid)
 
     def test_shut_off_follower_keeps_its_rows(self):
         # the NSE follower sits on its floor with utility 0: the rows keep
-        # their results and verdicts, with no relative change to report
+        # their results and verdicts, and only the follower's d is undefined
         report = analysis.ordering_report(crushing_leader_spec(), [0.0, 0.02],
                                           [0.0, 0.02])
         assert report.nse.utilities[1] == 0.0
         for row in report.case1 + report.case2:
             assert row.error is None and row.result is not None
-            assert row.d is None
+            assert np.isnan(row.d.per_player[1])
+            assert np.isfinite(row.d.per_player[0]) and np.isfinite(row.d.social)
             assert row.leader_ok and row.follower_ok
-        # C1 and C2 hold, but a row without d leaves nothing to match
-        assert report.case1_predicted
+        # the leader gains 0.44953 against 0.41634; the follower stays off, so
+        # the social d is the leader's
+        d = report.case1[0].d
+        assert d.per_player[0] == pytest.approx(0.0797, abs=1e-4)
+        assert d.social == pytest.approx(d.per_player[0], rel=1e-12)
+        # C1 and C2 hold, and the case-1 prediction is graded on d_social;
+        # C3 and C4 do not, so case 2 makes no claim
+        assert report.case1_predicted and report.case1[0].matched is True
+        assert not report.case2_predicted and report.case2[0].matched is None
         assert report.case1_matched and report.case2_matched
         assert report.all_orderings_hold
 

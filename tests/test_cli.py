@@ -81,6 +81,20 @@ def test_sweep_grid_override(e1_config, tmp_path, capsys):
     assert "0.05" in body
 
 
+def test_sweep_prints_the_prediction_agreement(tmp_path, capsys):
+    # the default priced game: most instances shut a player off at the NSE,
+    # and the agreement still counts every triggered prediction
+    path = tmp_path / "default.json"
+    path.write_text(json.dumps({"rng_seed": 0, "ensemble_size": 10}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "s"), "sweep",
+                 "--eps-grid", "0,0.02", "--delta-grid", "0,0.02"]) == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines()
+                if "condition/prediction agreement case1:" in ln)
+    ok, total = map(int, line.split(":")[1].split("/"))
+    assert ok == total > 0
+
+
 def test_montecarlo(budget_config, tmp_path, capsys):
     assert main(["--config", budget_config, "--out", str(tmp_path / "mc"),
                  "montecarlo", "--scenario", "none"]) == 0

@@ -241,6 +241,38 @@ class TestRunExperiment:
                     want[name][1] += 1
         assert summary.orderings == {k: tuple(v) for k, v in want.items()}
 
+    def test_shut_off_follower_keeps_the_defined_d(self, tmp_path):
+        # conftest.crushing_leader_spec as a sweep: the NSE follower sits on
+        # its floor with utility 0, so only its d is blank
+        config = small_config(
+            utility={"kind": "priced",
+                     "price": [1.1582898820818741, 1.0753219697830594]},
+            noise=[[0.2372861429362748], [0.10526927519789873]],
+            fixed_gains=[[[1.5011006808091636], [0.42908578190734237]],
+                         [[0.3899625863678114], [0.8779172101190559]]],
+            ensemble_size=1, eps_grid=(0.0, 0.02), delta_grid=(0.0, 0.02),
+            out_dir=str(tmp_path))
+        summary = run_experiment(config, quiet=True)
+        rows = {r["kind"]: r for r in load_rows(summary.csv_path)}
+        assert float(rows["NSE"]["w1"]) == 0.0
+        assert rows["RSE1"]["d0"] != "" and rows["RSE1"]["d_social"] != ""
+        assert rows["RSE1"]["d1"] == ""
+        assert float(rows["RSE2"]["w1"]) == pytest.approx(0.1256, abs=1e-4)
+        assert rows["RSE2"]["d1"] == ""
+        assert summary.agreement["case1"] == (1, 1)
+
+    def test_svgs_leave_undefined_d_out(self, tmp_path):
+        # most of the default ensemble's instances shut a player off at the NSE
+        config = ExperimentConfig(eps_grid=(0.0, 0.02, 0.05),
+                                  delta_grid=(0.0, 0.02, 0.05), rng_seed=0,
+                                  ensemble_size=10, format="csv+svg",
+                                  out_dir=str(tmp_path))
+        summary = run_experiment(config, quiet=True)
+        names = [os.path.basename(p) for p in summary.svg_paths]
+        assert "case1_d_vs_eps.svg" in names
+        for path in summary.svg_paths:
+            assert "nan" not in open(path).read().lower()
+
     def test_schema_version_checked(self, tmp_path):
         config = small_config(ensemble_size=1, out_dir=str(tmp_path))
         summary = run_experiment(config, quiet=True)

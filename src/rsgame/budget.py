@@ -31,11 +31,10 @@ _SADDLE_TOL = 1e-12   # the robust waterfill's KKT residual
 _SADDLE_ITERS = 200   # and its iterate limit
 
 
-def _quality(spec, player, f):
-    h = spec.direct_gain(player)
+def inverse_quality(h, f):
+    """Per-channel inverse quality f / h, infinite where the gain h is zero."""
     with np.errstate(divide="ignore"):
-        q = np.where(h > 0, f / np.where(h > 0, h, 1.0), np.inf)
-    return q
+        return np.where(h > 0, f / np.where(h > 0, h, 1.0), np.inf)
 
 
 def waterfill(spec, player, impact, budget):
@@ -53,7 +52,7 @@ def waterfill(spec, player, impact, budget):
         raise InvalidSpecError("budget must be positive")
     f = game.as_impact(impact)
     game._check_impact(f)
-    q = _quality(spec, player, f)
+    q = inverse_quality(spec.direct_gain(player), f)
     return waterfill_batch(q[None, :], spec.action_min[player],
                            spec.action_max[player], budget)[0]
 

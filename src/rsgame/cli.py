@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, budget as budget_mod, equilibria
+from . import analysis, budget as budget_mod, equilibria, game
 from .harness import (ExperimentConfig, generate_channels,
                       heuristic_leader_selection, monte_carlo_cdf,
                       run_experiment)
@@ -169,10 +169,7 @@ def _cmd_waterfill_demo(config, args):
         print("waterfill-demo needs a budgeted config", file=sys.stderr)
         raise SystemExit(2)
     player = spec.followers[0]
-    others = spec.action_min.copy()
-    f = np.asarray(
-        spec.noise[player] + sum(spec.cross_gain[player, m] * others[m]
-                                 for m in range(spec.n_players) if m != player))
+    f = game.aggregate_impact(spec, spec.action_min, player).values
     budget = spec.budget(player)
     nominal = budget_mod.waterfill(spec, player, f, budget)
     robust = budget_mod.robust_waterfill(spec, player, f, args.eps, budget)

@@ -143,15 +143,28 @@ def _priced_reaction(spec, players, f_obs):
     return a
 
 
+def _affine_reactions(spec, eps):
+    """Whether priced followers with observation radii `eps` react affinely.
+
+    They do at K = 1, where the worst observation is f + eps, and wherever
+    every radius is zero, where the game separates by dimension; each then
+    reacts to f + eps in closed form.
+    """
+    return spec.is_priced and (spec.n_dims == 1
+                               or not np.any(np.asarray(eps) > 0))
+
+
 def follower_best_response(spec, player, others, eps):
     """Utility-maximizing action of `player` against fixed other players.
 
     With eps > 0 the response maximizes the worst-case utility over the
     eps-ball of observations.  The budgeted model's response is the robust
     waterfill for every eps (at eps = 0 the nominal waterfill).  The priced
-    model's is the closed-form reaction, against the exact worst-case
-    observation when eps > 0: a damped fixed-point loop to `_BR_TOL`, which
-    raises `IterationLimitError` after `_BR_ITERS` iterates.
+    model's is the closed-form reaction to f + eps where it is affine
+    (`_affine_reactions`: eps = 0 or K = 1).  Only at K > 1 with eps > 0
+    does it react to the exact worst-case observation, by a damped
+    fixed-point loop to `_BR_TOL`, which raises `IterationLimitError` after
+    `_BR_ITERS` iterates.
     """
     if player not in spec.followers:
         raise InvalidSpecError(f"player {player} is not a follower")
@@ -166,9 +179,9 @@ def _response(spec, player, f_nom, eps):
     if spec.is_budgeted:
         return budget_mod.robust_waterfill(spec, player, f_nom, eps,
                                            spec.budget(player))
+    if _affine_reactions(spec, eps):
+        return _priced_reaction(spec, [player], (f_nom + eps)[None])[0]
     a = _priced_reaction(spec, [player], f_nom[None])[0]
-    if eps == 0.0:
-        return a
     # the worst case is evaluated just above zero actions: the limiting
     # direction there is the saddle selection (an exactly-zero action has a
     # degenerate gradient, which would otherwise cycle at the knife edge
@@ -202,11 +215,11 @@ def followers_nash(spec, leaders_profile, eps=0.0):
     From the profile's follower rows (zeros are fine), to `lockstep.NASH_TOL`;
     it returns the best responses, so a follower clamped at a bound sits
     exactly on it.  Two or more priced followers whose reactions are affine
-    (eps = 0, or K = 1, where the worst case adds eps to the impact) are
-    solved exactly by `_affine_nash`, and `diagnostics.iterations` counts its
-    Newton steps; every other game runs `lockstep.jacobi`, and counts its
-    sweeps.  A lone follower responds once.  An `IterationLimitError` of
-    either carries the last (N, K) profile.
+    (`_affine_reactions`) are solved exactly by `_affine_nash`, and
+    `diagnostics.iterations` counts its Newton steps; every other game runs
+    `lockstep.jacobi`, and counts its sweeps.  A lone follower responds
+    once.  An `IterationLimitError` of either carries the last (N, K)
+    profile.
     """
     unc = robust.coerce_uncertainty(spec, eps=eps)
     actions, steps, res = _followers_fixed_point(spec, leaders_profile, unc)
@@ -231,7 +244,7 @@ def _followers_fixed_point(spec, leaders_profile, unc):
     cross = (spec.cross_gain[np.ix_(fol, fol)]
              * (1.0 - np.eye(len(fol)))[..., None])
     eps = unc.obs_radius[fol]
-    if spec.is_priced and (spec.n_dims == 1 or not np.any(eps > 0)):
+    if _affine_reactions(spec, eps):
         return _affine_nash(spec, fol, base + eps[:, None], cross, actions)
 
     def respond(f, rows):
@@ -338,13 +351,14 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
     search locates the kinks, maximizes on every piece and keeps the best of
     the piece optima and the piece ends.  Kinks are located to adjacent
     floats and their clamped side is kept, so a follower switched off at a
-    kink is returned exactly on its bound.  Exact for one coordinate (one
-    leader, K = 1); otherwise cyclic sweeps from `start` (the box floors by
-    default) until a sweep moves no leader action by `_LEADER_TOL`, at most
-    `_LEADER_SWEEPS` of them.  Each evaluation solves the followers' Nash
-    equilibrium (`_followers_fixed_point`: exact for affine reactions, which
-    every priced follower has at eps = 0 or K = 1), seeded with the previous
-    solve's profile (the box floors at first).
+    kink is returned exactly on its bound.  Exact in one sweep for one
+    leader whose followers react affinely (`_affine_reactions`): the game
+    then separates by dimension, and each coordinate search maximizes one
+    dimension's share.  Otherwise cyclic sweeps from `start` (the box floors
+    by default) until a sweep moves no leader action by `_LEADER_TOL`, at
+    most `_LEADER_SWEEPS` of them.  Each evaluation solves the followers'
+    Nash equilibrium (`_followers_fixed_point`, exact for affine reactions),
+    seeded with the previous solve's profile (the box floors at first).
 
     Returns the (L, K) actions, the value reached, the sweeps, whether the
     last sweep converged and the number of followers' Nash solves.
@@ -408,13 +422,15 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
         return best, value(best)
 
     a_l = np.array(lo[leaders] if start is None else start, dtype=float)
+    exact = (len(leaders) == 1
+             and _affine_reactions(model_spec, unc.obs_radius[followers]))
     for sweep in range(1, _LEADER_SWEEPS + 1):
         shift = 0.0
         for i, k in np.ndindex(a_l.shape):
             best, reached = coordinate_search(a_l, i, k)
             shift = max(shift, abs(best - a_l[i, k]))
             a_l[i, k] = best
-        converged = shift < _LEADER_TOL or a_l.size == 1
+        converged = exact or shift < _LEADER_TOL
         if converged:
             break
     return a_l, reached, sweep, converged, cache["solves"]

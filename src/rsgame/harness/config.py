@@ -65,6 +65,12 @@ class ExperimentConfig:
             if not grid or grid[0] != 0.0 or list(grid) != sorted(grid):
                 raise ConfigError(f"{name} must be ascending and start at 0")
         object.__setattr__(self, "leaders", tuple(int(x) for x in self.leaders))
+        if (len(set(self.leaders)) != len(self.leaders)
+                or not set(self.leaders) <= set(range(self.n_players))):
+            raise ConfigError("leaders must be distinct players in "
+                              f"range({self.n_players})")
+        if self.scenario is None:  # no filter
+            object.__setattr__(self, "scenario", ScenarioSpec())
         if self.format not in ("csv", "csv+svg"):
             raise ConfigError("format must be 'csv' or 'csv+svg'")
         if self.channel_model not in ("rayleigh", "four_ray"):
@@ -76,6 +82,10 @@ class ExperimentConfig:
             raise ConfigError("priced utility needs a 'price' list")
         if kind == "budgeted" and "budget" not in self.utility:
             raise ConfigError("budgeted utility needs a 'budget' list")
+        per_player = self.utility["price" if kind == "priced" else "budget"]
+        if np.size(per_player) not in (1, self.n_players):
+            raise ConfigError(f"utility lists {np.size(per_player)} values "
+                              f"for {self.n_players} players")
 
     # -- construction ------------------------------------------------------
 

@@ -36,8 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .budget import (project_box_budget_batch, robust_waterfill_batch,
-                     robust_waterfill_jacobian, waterfill_batch)
+from .budget import (inverse_quality, project_box_budget_batch,
+                     robust_waterfill_batch, robust_waterfill_jacobian,
+                     waterfill_batch)
 from .errors import IterationLimitError
 
 # trial steps per ascent step, each half the one before: after a move the
@@ -246,10 +247,8 @@ def leader_starts(game, restarts=4, seed=0):
         cross = g[:, n].copy()
         cross[:, n] = 0.0
         f = noise[:, n] + (cross * actions).sum(axis=1)
-        h = g[:, n, n]
-        with np.errstate(divide="ignore"):
-            q = np.where(h > 0, f / np.where(h > 0, h, 1.0), np.inf)
-        return waterfill_batch(q, game.lo[n], game.hi[n], game.budget[n])
+        return waterfill_batch(inverse_quality(g[:, n, n], f), game.lo[n],
+                               game.hi[n], game.budget[n])
 
     busy = np.broadcast_to(others, (b,) + others.shape).copy()
     for n in fol:

@@ -133,6 +133,24 @@ def two_leaders_grid_max(direct, cross, noise, price, a_max, n_points):
     return float(a0[best]), float(a1[best]), float(total[best])
 
 
+def separable_leader_grid_max(gains, noise, price, a_max, n_points):
+    """One leader's nominal utility maximized subchannel by subchannel, any K.
+
+    Player 0 leads and player 1 follows; `gains[n, m]` (K,) is player m's
+    gain at player n, so the diagonal holds the direct gains.  Without
+    uncertainty each subchannel is a game of its own: the follower plays
+    clip(1/c1 - (noise1 + x10 a0)/h11, 0, a_max) there, and the leader's
+    utility is a sum of per-subchannel terms.  Each term is maximized on a
+    dense grid over [0, a_max]; returns the sum of the K grid maxima.
+    """
+    g = np.asarray(gains, dtype=float)
+    noise, c = np.asarray(noise, dtype=float), np.ravel(price)
+    a0 = np.linspace(0.0, a_max, n_points)[:, None]  # (n_points, 1)
+    a1 = np.clip(1.0 / c[1] - (noise[1] + g[1, 0] * a0) / g[1, 1], 0.0, a_max)
+    u0 = np.log1p(g[0, 0] * a0 / (noise[0] + g[0, 1] * a1)) - c[0] * a0
+    return float(u0.max(axis=0).sum())
+
+
 # ---------------------------------------------------------------------------
 # worst-case observation brute force
 # ---------------------------------------------------------------------------

@@ -1,0 +1,24 @@
+"""The benchmark's traced mode runs against the library as it stands.
+
+`perfbench/tracing.py` wraps library functions by name and stops at the
+first one that is missing, so a renamed or deleted function breaks the
+benchmark's per-layer metrics; one traced run of the smallest workload
+catches that.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_run_completes_and_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "budgeted-bilevel",
+         "--seed", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True

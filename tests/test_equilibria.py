@@ -15,7 +15,8 @@ from rsgame.harness import ExperimentConfig, ScenarioSpec, channels
 from conftest import (build_e1_spec, crushing_leader_spec, interior_instance,
                       random_priced_multi_follower, random_priced_two_player)
 from oracles import (PricedTwoPlayer1D, affine_nash_oracle, e1_oracle,
-                     grid_argmax_vec)
+                     grid_argmax_vec, separable_leader_grid_max,
+                     summation_impact)
 
 
 class TestFollowerBestResponse:
@@ -40,6 +41,35 @@ class TestFollowerBestResponse:
 
         best, _ = grid_argmax_vec(np.vectorize(worst), 0.0, 2.0, 100_001)
         assert a1[0] == pytest.approx(best, abs=1e-4)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1])
+    @pytest.mark.parametrize("draw", [None, 0, 1])
+    def test_one_subchannel_reacts_to_f_plus_eps(self, eps, draw,
+                                                 monkeypatch):
+        # at K = 1 the worst observation is f + eps, so the response is the
+        # closed-form reaction to it, with no worst-case solve
+        if draw is None:
+            spec, a0 = build_e1_spec(), 1.0
+        else:
+            rng = np.random.default_rng(draw)
+            spec = random_priced_two_player(rng)
+            a0 = rng.uniform(0.0, 1.0)  # the follower stays inside its box
+        calls = []
+        solve = robust.worst_case_observation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(robust, "worst_case_observation", counted)
+        others = np.array([[a0], [0.0]])
+        a1 = rs.follower_best_response(spec, 1, others, eps)
+        f = summation_impact(others, spec.cross_gain[1], spec.noise[1], 1)
+        h, c = spec.cross_gain[1, 1], spec.utility_model.price[1]
+        want = np.clip(1.0 / c - (f + eps) / h, spec.action_min[1],
+                       spec.action_max[1])
+        assert np.array_equal(a1, want)
+        assert calls == []
 
     def test_silent_others(self, e1_spec):
         a1 = rs.follower_best_response(e1_spec, 1, np.zeros((2, 1)), 0.0)
@@ -375,6 +405,20 @@ class TestSolveNse:
         assert res.profile.actions[0] == pytest.approx(want, abs=1e-8)
         assert res.utilities[0] == pytest.approx(
             float(np.sum(np.log1p(h * want / sigma) - c * want)), abs=1e-12)
+
+    def test_separable_game_is_exact_in_one_sweep(self):
+        # without uncertainty the priced game separates by subchannel, so
+        # one sweep of the leader's coordinate search is already exact; on
+        # subchannel 0 this leader shuts the follower off, on 1 it does not
+        spec = random_priced_two_player(np.random.default_rng(5), k=2)
+        res = rs.solve_nse(spec)
+        assert res.diagnostics.iterations == 1
+        a = res.profile.actions
+        assert a[1, 0] == 0.0 < a[1, 1]
+        best = separable_leader_grid_max(
+            spec.cross_gain, spec.noise, spec.utility_model.price, 8.0,
+            100_001)
+        assert res.utilities[0] >= best - 1e-9
 
     def test_degenerate_leader_box(self):
         spec = rs.make_spec(direct=[[1.0], [1.0]],

@@ -123,6 +123,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioSpec(filter="s1", high=1.5)
 
+    @pytest.mark.parametrize("fields, rejected", [
+        ({"scenario": None}, False),  # no filter, as when the key is absent
+        ({"n_players": 3}, True),  # the default utility prices two players
+        ({"utility": {"kind": "budgeted", "budget": [5.0, 5.0, 5.0]}}, True),
+        ({"utility": {"kind": "priced", "price": [0.8, 0.5, 0.3]}}, True),
+        ({"leaders": [5]}, True),
+        ({"leaders": [-1]}, True),
+        ({"leaders": [1, 1]}, True),
+    ], ids=["null-scenario", "prices-for-two-of-three", "three-budgets",
+            "three-prices", "leader-out-of-range", "negative-leader",
+            "repeated-leader"])
+    def test_rejected_at_once_or_materializes(self, fields, rejected):
+        # a config that constructs must draw and build its first instance;
+        # one that cannot is refused with a ConfigError when it is built
+        if rejected:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(fields)
+        else:
+            config = ExperimentConfig.from_dict(fields)
+            assert config.scenario == ScenarioSpec()
+            config.to_spec(generate_channels(config, 0))
+
 
 class TestRunExperiment:
     def test_minimal_run_contains_only_nse(self, tmp_path):

@@ -145,7 +145,7 @@ def robust_waterfill(spec, player, nominal_impact, eps, budget):
     return alloc[0]
 
 
-def robust_waterfill_batch(f, h, lo, hi, budget, eps):
+def robust_waterfill_batch(f, h, lo, hi, budget, eps, start=None):
     """Saddle points of the max-min robust waterfill, one per row.
 
     f (nominal impacts) and h (direct gains) are (B, K); lo and hi broadcast
@@ -169,7 +169,11 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps):
     inside a bracket set by the sign of |s| - eps, and move w along w(mu)
     in log-log terms.  A step that would leave its bracket, or is not half
     the step before the last, bisects the bracket instead.  The start is
-    the nominal waterfill and mu = eps / |r|, r = u / (f (f + u)) at f.
+    the nominal waterfill and mu = eps / |r|, r = u / (f (f + u)) at f;
+    `start`, a pair (w, log mu) of (B,) arrays such as `saddle_start` reads
+    off a nearby row's saddle point, replaces it on the rows where both are
+    finite (NaN leaves a row cold).  A warm row keeps the cold brackets:
+    its level is clipped into the first one, and its multiplier's is open.
 
     A row is done once |sum(a) - target| and ||s| - eps| are below
     `_SADDLE_TOL` (raised to 32 roundings of the values involved), or once
@@ -208,10 +212,16 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps):
     del q, raised
     # views, not copies, when every row takes part
     take = slice(None) if rows.size == b else rows
+    w, log_mu = w_nom[take], np.log(eps[take] / norm_r[take])
+    if start is not None:
+        w0, log_mu0 = (np.broadcast_to(np.asarray(x, dtype=float), (b,))[take]
+                       for x in start)
+        warm = np.isfinite(w0) & np.isfinite(log_mu0)
+        w, log_mu = np.where(warm, w0, w), np.where(warm, log_mu0, log_mu)
     st = _Saddle(
         rows, f[take], hs[take], usable[take], lo[take], hi[take],
         target=alloc[take].sum(axis=1), eps=eps[take], w_nom=w_nom[take],
-        reach=reach[take], log_mu=np.log(eps[take] / norm_r[take]))
+        reach=reach[take], w=w, log_mu=log_mu)
     for _ in range(_SADDLE_ITERS):
         st.evaluate()
         done = st.converged()
@@ -238,10 +248,9 @@ def robust_waterfill_jacobian(f, h, lo, hi, a, t):
     inside, one on its floor or ceiling stays there, so at a kink it is the
     one-sided derivative along which no channel changes piece.
 
-    The multiplier is read off the channel with the largest shift among
-    those with u = h a > 0: mu = s t (t + u) / u, with s = t - f.  An inner
-    channel has t + u = h w and t^2 + (mu / (h w) - f) t = mu; a pinned
-    channel has u fixed and s (f + s)(f + s + u) = mu u.  Differentiating
+    The multiplier is `saddle_multiplier`'s.  An inner channel has
+    t + u = h w and t^2 + (mu / (h w) - f) t = mu; a pinned channel has
+    u fixed and s (f + s)(f + s + u) = mu u.  Differentiating
     both, with sum(da) = 0 and sum(s ds) = 0, leaves a 2x2 solve in
     (dw, dmu) per row.  A row with s = 0 (eps = 0, or nothing at stake)
     drops the ball row, and a row with no inner channel has da = 0.
@@ -254,10 +263,7 @@ def robust_waterfill_jacobian(f, h, lo, hi, a, t):
     u = h * a
     inner = (h > 0) & (a > lo) & (a < hi)
     inv_h = np.where(inner, 1.0 / np.where(inner, h, 1.0), 0.0)
-    at = np.arange(r), np.where(u > 0, s, -np.inf).argmax(axis=1)
-    s_at, t_at, u_at = s[at], t[at], u[at]
-    mu = np.where(u_at > 0, s_at * t_at * (t_at + u_at)
-                  / np.where(u_at > 0, u_at, 1.0), 0.0)[:, None]
+    mu = saddle_multiplier(f, h, a, t)[:, None]
     # inner channels: dt = t_w dw + t_mu dmu + t_f df
     hw = t + u
     den = t * t + mu
@@ -289,6 +295,41 @@ def robust_waterfill_jacobian(f, h, lo, hi, a, t):
     return jac
 
 
+def saddle_multiplier(f, h, a, t):
+    """Ball multiplier (R,) of saddle points (a, t) of `robust_waterfill_batch`.
+
+    Read off the channel with the largest shift among those with u = h a > 0:
+    mu = s t (t + u) / u, with s = t - f.  It is 0 where no channel has
+    u > 0, and where s = 0 (eps = 0, or nothing at stake).
+    """
+    s = t - f
+    u = h * a
+    at = np.arange(f.shape[0]), np.where(u > 0, s, -np.inf).argmax(axis=1)
+    s_at, t_at, u_at = s[at], t[at], u[at]
+    return np.where(u_at > 0, s_at * t_at * (t_at + u_at)
+                    / np.where(u_at > 0, u_at, 1.0), 0.0)
+
+
+def saddle_start(f, h, lo, hi, a, t):
+    """Level and log multiplier (w, log mu) of saddle points (a, t), per row.
+
+    The start `robust_waterfill_batch` takes.  f, h, lo and hi are the
+    kernel's inputs and a, t its outputs, (R, K) or broadcast to it.  The
+    level is w = a + t / h on a channel strictly inside its box, the
+    multiplier `saddle_multiplier`'s.  A row with mu = 0 or no channel
+    inside its box gets NaN for both: it starts cold.
+    """
+    f = np.asarray(f, dtype=float)
+    h, lo, hi, a, t = (np.broadcast_to(np.asarray(x, dtype=float), f.shape)
+                       for x in (h, lo, hi, a, t))
+    inner = (h > 0) & (a > lo) & (a < hi)
+    w = np.where(inner, a + t / np.where(inner, h, 1.0), -np.inf).max(axis=1)
+    mu = saddle_multiplier(f, h, a, t)
+    warm = inner.any(axis=1) & (mu > 0)
+    return (np.where(warm, w, np.nan),
+            np.where(warm, np.log(np.where(warm, mu, 1.0)), np.nan))
+
+
 # steps a row may take in mu while off the budget
 _JOINT_ITERS = 12
 
@@ -298,7 +339,7 @@ class _Saddle:
     brackets and last steps, and what `evaluate` finds there."""
 
     def __init__(self, rows, f, h, usable, lo, hi, *, target, eps, w_nom,
-                 reach, log_mu):
+                 reach, w, log_mu):
         self.rows, self.f, self.h, self.lo, self.hi = rows, f, h, lo, hi
         self.inv_h = 1.0 / h
         # a channel with h w <= h lo + f is on its floor whatever t >= f
@@ -314,8 +355,9 @@ class _Saddle:
         self.log_mu = log_mu
         self.mu_lo, self.mu_hi = np.full(n, -np.inf), np.full(n, np.inf)
         self.dmu, self.dmu_old = np.full(n, np.inf), np.full(n, np.inf)
-        self.w, self.w_lo = w_nom.copy(), w_nom.copy()
+        self.w_lo = w_nom.copy()
         self.w_hi = w_nom + np.exp(0.5 * log_mu) * reach
+        self.w = np.clip(w, w_nom, self.w_hi)
         self.dw, self.dw_old = np.full(n, np.inf), np.full(n, np.inf)
         self.age = np.zeros(n)
 
@@ -382,7 +424,8 @@ class _Saddle:
         current mu.  Near it (or on it) mu also steps, on the ball residual
         predicted at the corrected level, and the level follows w(mu); its
         bracket then restarts, from the old level where that was on the
-        budget.  The ball's bracket only moves on the budget, where the sign
+        budget.  A row whose ball residual is within tolerance keeps its
+        mu.  The ball's bracket only moves on the budget, where the sign
         of |s| - eps is the sign along w(mu); a row that has not converged
         in `_JOINT_ITERS` steps stops stepping mu off the budget.
         """
@@ -395,8 +438,12 @@ class _Saddle:
             newton = -res_w / self.da_dw
         dw = np.where(off, _safeguard(w, newton, self.w_lo, self.w_hi,
                                       self.dw_old), 0.0)
-        near = on | ((dw == newton) & (self.age <= _JOINT_ITERS)
-                     & (np.abs(res_w) <= 1e-2 * self.target))
+        # a row already on the ball only steps its level: stepping mu would
+        # restart the level's bracket, and a Newton step that jumps across a
+        # kink of sum(a) in w would then never be bisected
+        near = (np.abs(self.res_mu) > self.tol_s) & (
+            on | ((dw == newton) & (self.age <= _JOINT_ITERS)
+                  & (np.abs(res_w) <= 1e-2 * self.target)))
         self.dw_old, self.dw = self.dw, dw
         w = w + dw
         self.w = w

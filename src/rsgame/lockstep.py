@@ -15,7 +15,10 @@ affine priced reactions exactly).
 starts, all (instance, start) rows in lockstep.  Each step makes one
 response call (with one follower, one kernel call), for a ladder of trial
 steps step * 2^-j, j = 0..LADDER-1, along each live row's gradient, so an
-ascent of n steps makes n + 1 calls, the first for its starts.  A row
+ascent of n steps makes n + 1 calls, the first for its starts.  Each
+ladder call starts the kernel on every trial row at the saddle point of
+the row it stepped from (`budget.saddle_start`), so a short step costs a
+few Newton iterations; the starts call runs cold.  A row
 moves to its best improving rung, and its next ladder starts at four times
 that rung's step; a row with no improving rung shrinks its step below the
 ladder, and it freezes once the step is below 1e-10 of the leader's
@@ -38,7 +41,7 @@ import numpy as np
 
 from .budget import (inverse_quality, project_box_budget_batch,
                      robust_waterfill_batch, robust_waterfill_jacobian,
-                     waterfill_batch)
+                     saddle_start, waterfill_batch)
 from .errors import IterationLimitError
 
 # trial steps per ascent step, each half the one before: after a move the
@@ -140,24 +143,41 @@ class _Response:
                 np.broadcast_to(self.lo, shape).reshape(-1, k),
                 np.broadcast_to(self.hi, shape).reshape(-1, k))
 
-    def _kernel(self, f, inst):
-        """Every follower's robust waterfill against impacts f (R, Nf, K):
-        the (R, 3, Nf, K) equilibrium stack."""
+    def _kernel(self, f, inst, start):
+        """Every follower's robust waterfill against impacts f (R, Nf, K),
+        from kernel starts (R, Nf, 2) or None: the (R, 3, Nf, K)
+        equilibrium stack."""
         self.calls += 1
         r, nf, k = f.shape
         alloc, worst = robust_waterfill_batch(
             f.reshape(-1, k), *self._gains_and_boxes(inst, f.shape),
             np.broadcast_to(self.budget, (r, nf)).ravel(),
-            np.broadcast_to(self.eps, (r, nf)).ravel())
+            np.broadcast_to(self.eps, (r, nf)).ravel(),
+            start=None if start is None else start.reshape(-1, 2).T)
         return np.stack([alloc.reshape(f.shape), f, worst.reshape(f.shape)],
                         axis=1)
 
-    def evaluate(self, inst, a0, seed):
-        """Leader utilities and the followers' equilibrium for rows (inst, a0)."""
+    def starts(self, inst, eq):
+        """Kernel starts (R, Nf, 2), each follower's (w, log mu) at the
+        saddle points of the equilibrium stack `eq`."""
+        r, _, nf, k = eq.shape
+        h, lo, hi = self._gains_and_boxes(inst, eq[:, 0].shape)
+        w, log_mu = saddle_start(eq[:, 1].reshape(-1, k), h, lo, hi,
+                                 eq[:, 0].reshape(-1, k),
+                                 eq[:, 2].reshape(-1, k))
+        return np.stack([w, log_mu], axis=1).reshape(r, nf, 2)
+
+    def evaluate(self, inst, a0, seed, start=None):
+        """Leader utilities and the followers' equilibrium for rows (inst, a0);
+        `start` (R, Nf, 2), from `starts`, warm-starts every kernel call."""
         base = self.noise[inst] + self.from_leader[inst] * a0[:, None, :]
-        eq = (jacobi(lambda f, rows: self._kernel(f, inst[rows]), base,
-                     self.cross[inst], seed)[0] if base.shape[1]
-              else np.stack([base] * 3, axis=1))
+
+        def respond(f, rows):
+            return self._kernel(f, inst[rows],
+                                None if start is None else start[rows])
+
+        eq = (jacobi(respond, base, self.cross[inst], seed)[0]
+              if base.shape[1] else np.stack([base] * 3, axis=1))
         f0 = self.noise0[inst] + (self.to_leader[inst] * eq[:, 0]).sum(axis=1)
         return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), eq
 
@@ -283,7 +303,10 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
     the earlier one on a tie; its residual is the projected gradient's
     |a0 - P(a0 + grad U0)| over the leader's box and budget.  It vanishes at
     a smooth optimum, but not at one on a kink of the followers' reaction,
-    where the gradient is that of one piece.
+    where the gradient is that of one piece.  Each ladder call starts every
+    trial row's kernel solve at the saddle points of the row it stepped
+    from; that changes a robust row's result only by the kernel's
+    tolerance, and a nominal one's not at all.
     """
     lead = game.leader
     lo, hi, p = game.lo[lead], game.hi[lead], float(game.budget[lead])
@@ -311,7 +334,9 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
             (x[:, None, :] + trial[:, :, None] * grad[live][:, None, :]
              ).reshape(-1, k), lo, hi, p)
         rep = np.repeat(live, LADDER)
-        cv, ceq = resp.evaluate(inst[rep], cand, eq[rep, 0])
+        # every rung starts from its parent row's saddle points
+        start = np.repeat(resp.starts(inst[live], eq[live]), LADDER, axis=0)
+        cv, ceq = resp.evaluate(inst[rep], cand, eq[rep, 0], start)
         cv = cv.reshape(n, LADDER)
         gain = np.where(cv > val[live][:, None] + 1e-14, cv, -np.inf)
         rung = gain.argmax(axis=1)

@@ -313,32 +313,24 @@ class TestRobustWaterfillSaddle:
         assert np.array_equal(rs.robust_waterfill(spec, 0, f, eps, budget), a[0])
 
     def test_seeded_stress(self):
-        rng = np.random.default_rng(26)
-        n, k_max = 2000, 8
-        ks = rng.integers(1, k_max + 1, size=n)
-        f = 10.0 ** rng.uniform(-2.0, 0.5, size=(n, k_max))
-        h = rng.uniform(0.05, 3.0, size=(n, k_max))
-        h[rng.uniform(size=(n, k_max)) < 0.1] = 0.0
-        lo = np.where(rng.uniform(size=(n, k_max)) < 0.4,
-                      rng.uniform(0.0, 0.5, size=(n, k_max)), 0.0)
-        hi = np.where(rng.uniform(size=(n, k_max)) < 0.3, np.inf,
-                      lo + rng.uniform(0.2, 4.0, size=(n, k_max)))
-        # pad past each row's K with idle channels (h = 0, floor 0)
-        idle = np.arange(k_max)[None, :] >= ks[:, None]
-        f[idle], h[idle], lo[idle], hi[idle] = 1.0, 0.0, 0.0, np.inf
-        floors = lo.sum(axis=1)
-        budget = np.where((floors > 0) & (rng.uniform(size=n) < 0.3),
-                          floors * rng.uniform(0.3, 0.95, size=n),
-                          rng.uniform(0.5, 10.0, size=n))
-        eps = np.array([f[i, :ks[i]].min() for i in range(n)]) \
-            * 10.0 ** rng.uniform(-2.0, 3.0, size=n)
-        a, t = robust_waterfill_batch(f, h, lo, hi, budget, eps)
-        want_a, want_t = robust_waterfill_oracle(f, h, lo, hi, budget, eps)
-        for i in range(n):
-            k = ks[i]
-            _check_saddle(f[i, :k], h[i, :k], lo[i, :k], hi[i, :k],
-                          float(budget[i]), float(eps[i]), a[i, :k], t[i, :k],
-                          want_a[i, :k], want_t[i, :k])
+        ks, rows = stress_rows()
+        a, t = robust_waterfill_batch(*rows)
+        _check_stress_rows(ks, rows, a, t)
+
+    def test_kink_does_not_cycle(self, monkeypatch):
+        # one follower, box [0, 10], budget 10, eps 0.05, at a kink of sum(a)
+        # in the level: each Newton step in w jumped across it while the ball
+        # was already met, and stepping mu again reset the level's bracket, so
+        # the row took 15 iterations where 10 do
+        f = np.array([0.01, 20.401231784068884, 12.268411270052155,
+                      3.5722282946882267])
+        h = np.array([0.20261726301789562, 1.9814475979595572,
+                      0.8795888843095632, 0.16301363606353594])
+        monkeypatch.setattr(budget_mod, "_SADDLE_ITERS", 10)
+        a, _ = robust_waterfill_batch(f[None], h[None], 0.0, 10.0, 10.0, 0.05)
+        want, _ = robust_waterfill_oracle(f[None], h[None], 0.0, 10.0, 10.0,
+                                          0.05)
+        assert np.max(np.abs(a - want)) <= 1e-10
 
     def test_iteration_limit(self, monkeypatch):
         f, h = self.F[None], self.H[None]
@@ -346,6 +338,84 @@ class TestRobustWaterfillSaddle:
         with pytest.raises(IterationLimitError) as info:
             robust_waterfill_batch(f, h, 0.0, 10.0, 10.0, 1.0)
         assert info.value.last_iterate.shape == (1, 6)
+
+
+def stress_rows():
+    """Row lengths and kernel inputs (f, h, lo, hi, budget, eps) of 2000
+    seeded follower rows up to K = 8, padded with idle channels: zero gains,
+    positive floors, infinite ceilings, budgets below the floors, and radii
+    from 1e-2 to 1e3 times the smallest impact."""
+    rng = np.random.default_rng(26)
+    n, k_max = 2000, 8
+    ks = rng.integers(1, k_max + 1, size=n)
+    f = 10.0 ** rng.uniform(-2.0, 0.5, size=(n, k_max))
+    h = rng.uniform(0.05, 3.0, size=(n, k_max))
+    h[rng.uniform(size=(n, k_max)) < 0.1] = 0.0
+    lo = np.where(rng.uniform(size=(n, k_max)) < 0.4,
+                  rng.uniform(0.0, 0.5, size=(n, k_max)), 0.0)
+    hi = np.where(rng.uniform(size=(n, k_max)) < 0.3, np.inf,
+                  lo + rng.uniform(0.2, 4.0, size=(n, k_max)))
+    # pad past each row's K with idle channels (h = 0, floor 0)
+    idle = np.arange(k_max)[None, :] >= ks[:, None]
+    f[idle], h[idle], lo[idle], hi[idle] = 1.0, 0.0, 0.0, np.inf
+    floors = lo.sum(axis=1)
+    budget = np.where((floors > 0) & (rng.uniform(size=n) < 0.3),
+                      floors * rng.uniform(0.3, 0.95, size=n),
+                      rng.uniform(0.5, 10.0, size=n))
+    eps = np.array([f[i, :ks[i]].min() for i in range(n)]) \
+        * 10.0 ** rng.uniform(-2.0, 3.0, size=n)
+    return ks, (f, h, lo, hi, budget, eps)
+
+
+def _check_stress_rows(ks, rows, a, t):
+    """`_check_saddle` on every row of `stress_rows`, against the oracle."""
+    f, h, lo, hi, budget, eps = rows
+    want_a, want_t = robust_waterfill_oracle(*rows)
+    for i, k in enumerate(ks):
+        _check_saddle(f[i, :k], h[i, :k], lo[i, :k], hi[i, :k],
+                      float(budget[i]), float(eps[i]), a[i, :k], t[i, :k],
+                      want_a[i, :k], want_t[i, :k])
+
+
+class TestRobustWaterfillWarmStart:
+    """The kernel started at (w, log mu) read off nearby saddle points."""
+
+    # demo_05's follower state (K = 4, box [0, 10], budget 10), its impacts
+    # scaled by fixed factors in [0.5, 2]
+    H = np.array([0.54, 0.226, 0.279, 0.222])
+    F = np.array([0.01, 0.01, 0.65, 1.92]) \
+        * np.random.default_rng(3).uniform(0.5, 2.0, size=(64, 1))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    def test_own_saddle_converges_at_once(self, monkeypatch, eps):
+        a, t = robust_waterfill_batch(self.F, self.H, 0.0, 10.0, 10.0, eps)
+        start = budget_mod.saddle_start(self.F, self.H, 0.0, 10.0, a, t)
+        assert np.all(np.isfinite(start))
+        monkeypatch.setattr(budget_mod, "_SADDLE_ITERS", 1)
+        a1, t1 = robust_waterfill_batch(self.F, self.H, 0.0, 10.0, 10.0, eps,
+                                        start=start)
+        assert np.max(np.abs(a1 - a)) <= 1e-12
+        assert np.max(np.abs(t1 - t)) <= 1e-12
+
+    def test_perturbed_starts_stress(self):
+        # each row starts at the saddle point of its impacts moved by up to
+        # 1%; rows whose saddle has no channel inside its box start cold
+        ks, rows = stress_rows()
+        f = rows[0]
+        moved = f * np.random.default_rng(27).uniform(0.99, 1.01, f.shape)
+        near = (moved,) + rows[1:]
+        start = budget_mod.saddle_start(*near[:4], *robust_waterfill_batch(
+            *near))
+        assert np.isfinite(start[0]).sum() > 1000
+        a, t = robust_waterfill_batch(*rows, start=start)
+        _check_stress_rows(ks, rows, a, t)
+
+    def test_nan_start_is_cold(self):
+        ks, rows = stress_rows()
+        cold = robust_waterfill_batch(*rows)
+        nan = np.full(ks.size, np.nan)
+        warm = robust_waterfill_batch(*rows, start=(nan, nan))
+        assert all(np.array_equal(x, y) for x, y in zip(cold, warm))
 
 
 # central-difference step of the Jacobian tests

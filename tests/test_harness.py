@@ -15,7 +15,8 @@ from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
                             channels, cooperative_leaders_nse,
                             demote_to_single_leader, generate_channels,
                             heuristic_leader_selection, load_rows,
-                            monte_carlo_cdf, run_experiment, solve_instance)
+                            monte_carlo_cdf, montecarlo, run_experiment,
+                            solve_instance)
 from rsgame.harness.montecarlo import leader_ascent_batch, follower_response_batch
 
 from conftest import random_priced_multi_follower
@@ -349,6 +350,15 @@ class TestMonteCarlo:
         assert np.all(np.diff(cdf.fractions) > 0)
         assert cdf.fractions[0] > 0
         assert cdf.fractions[-1] == pytest.approx(1.0)
+
+    def test_chunk_size_does_not_change_the_cdf(self, monkeypatch):
+        # with at most four restarts every start is deterministic, and the
+        # engine works row by row: chunks of 5 give the one-call CDF
+        whole = monte_carlo_cdf(mc_config())
+        monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+        chunked = monte_carlo_cdf(mc_config())
+        assert np.array_equal(chunked.values, whole.values)
+        assert chunked.positive_fraction == whole.positive_fraction
 
     def test_one_instance_call_equals_its_row(self):
         # with the deterministic starts a row's ascent is its own: an

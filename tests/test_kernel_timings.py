@@ -11,7 +11,8 @@ import pytest
 
 import rsgame as rs
 from rsgame import lockstep
-from rsgame.budget import robust_waterfill_batch, robust_waterfill_jacobian
+from rsgame.budget import (robust_waterfill_batch, robust_waterfill_jacobian,
+                          saddle_start)
 from rsgame.harness import cooperative_leaders_nse
 
 from conftest import random_priced_multi_follower, random_priced_two_player
@@ -34,13 +35,22 @@ def test_worst_case_observation(benchmark, k):
 
 
 @pytest.mark.bench
-@pytest.mark.parametrize("rows", [1, 512])
-def test_robust_waterfill_batch(benchmark, rows):
+@pytest.mark.parametrize("rows, start", [(1, "cold"), (512, "cold"),
+                                         (512, "warm")])
+def test_robust_waterfill_batch(benchmark, rows, start):
     # the K = 4 state above, rows of it with the impacts scaled by fixed
-    # factors in [0.5, 2]
+    # factors in [0.5, 2]; warm rows start at the saddle points of their
+    # impacts moved by up to 1%, as a ladder call's rows start at their
+    # parent row's
     scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(rows, 1))
     f, h = F * scale, np.broadcast_to(H, (rows, 4))
-    a, t = benchmark(robust_waterfill_batch, f, h, 0.0, 10.0, 10.0, EPS)
+    warm = None
+    if start == "warm":
+        near = f * np.random.default_rng(4).uniform(0.99, 1.01, f.shape)
+        warm = saddle_start(near, h, 0.0, 10.0, *robust_waterfill_batch(
+            near, h, 0.0, 10.0, 10.0, EPS))
+    a, t = benchmark(robust_waterfill_batch, f, h, 0.0, 10.0, 10.0, EPS,
+                     start=warm)
     assert np.allclose(a.sum(axis=1), 10.0)
     assert np.allclose(np.linalg.norm(t - f, axis=1), EPS, rtol=1e-9)
 

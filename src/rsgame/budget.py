@@ -67,41 +67,70 @@ def waterfill_batch(q, lo, hi, budget):
     active channels, so prefix sums of slope * segment-length locate the
     segment containing the budget without forming any (B, 2K, K) tensor.
     Infinite ceilings are replaced by twice max(budget, 1), which no
-    allocation within the budget reaches.
+    allocation within the budget reaches.  lo and hi are scalars, (K,) or
+    (B, K); a box shared by every row is summed once.
+
+    The sort need not be stable.  Equal breakpoints bound segments of
+    length zero, so the totals do not depend on the order inside a group of
+    them, and the level is read at the last breakpoint of a group, where the
+    slope counts the whole group.  The one exception is a row whose totals
+    all fall short of the target by rounding: it reads the second-to-last
+    breakpoint, where a stable sort (floors before ceilings) has slope 1,
+    and it takes that slope whatever the order.
     """
     q = np.asarray(q, dtype=float)
     b, k = q.shape
-    lo = np.broadcast_to(lo, q.shape).astype(float)
-    hi = np.asarray(np.broadcast_to(hi, q.shape), dtype=float).copy()
-    budget = np.broadcast_to(np.asarray(budget, dtype=float), (b,))
-    cap = np.broadcast_to((np.maximum(budget, 1.0) * 2.0)[:, None], hi.shape)
-    hi = np.where(np.isinf(hi), cap, hi)
-    target = np.minimum(budget, hi.sum(axis=1))
+    lo, hi = _channels(lo, k), _channels(hi, k)
+    budget = np.asarray(budget, dtype=float)
+    hi = np.where(np.isinf(hi), (np.maximum(budget, 1.0) * 2.0)[..., None], hi)
+    base = lo.sum(axis=-1)
+    target = np.minimum(budget, hi.sum(axis=-1))
     finite_q = np.where(np.isinf(q), 1e300, q)
     events = np.concatenate([finite_q + lo, finite_q + hi], axis=1)  # (B, 2K)
-    deltas = np.concatenate([np.ones((b, k)), -np.ones((b, k))], axis=1)
-    order = np.argsort(events, axis=1, kind="stable")
-    breaks = np.take_along_axis(events, order, axis=1)
-    slope = np.cumsum(np.take_along_axis(deltas, order, axis=1), axis=1)
-    # totals at the breakpoints: T_0 = sum(lo), then slope * segment length
-    seg = slope[:, :-1] * np.diff(breaks, axis=1)
-    totals = np.empty_like(breaks)
-    totals[:, 0] = lo.sum(axis=1)
-    np.cumsum(seg, axis=1, out=totals[:, 1:])
-    totals[:, 1:] += totals[:, :1]
-    idx = np.minimum((totals < target[:, None]).sum(axis=1), 2 * k - 1)
-    prev = np.maximum(idx - 1, 0)[:, None]
-    w_prev = np.take_along_axis(breaks, prev, axis=1)[:, 0]
-    t_prev = np.take_along_axis(totals, prev, axis=1)[:, 0]
-    s_prev = np.take_along_axis(slope, prev, axis=1)[:, 0]
+    order = np.argsort(events, axis=1)
+    # the sorted breakpoints, flat, row after row
+    row = (2 * k) * np.arange(b)
+    breaks = events.ravel()[(order + row[:, None]).ravel()]
+    # the slope after each breakpoint, a running count of floors minus
+    # ceilings
+    slope = _running_sum(np.where(order < k, 1.0, -1.0)).ravel()
+    # the growth of the total up to each breakpoint, 0 at a row's first
+    # (the slope before it, the previous row's last, is 0)
+    seg = np.empty(b * 2 * k)
+    seg[0] = 0.0
+    np.multiply(slope[:-1], breaks[1:] - breaks[:-1], out=seg[1:])
+    totals = _running_sum(seg.reshape(b, 2 * k))
+    totals += base[..., None]
+    # a count of small integers, exact in any order
+    short = ((totals < target[..., None]) @ np.ones(2 * k)).astype(np.intp)
+    idx = np.minimum(short, 2 * k - 1)
+    prev = np.maximum(idx - 1, 0) + row
+    s_prev = np.where(short < 2 * k, slope[prev], 1.0)
     w = np.where(s_prev > 0,
-                 w_prev + (target - t_prev) / np.maximum(s_prev, 1),
-                 np.take_along_axis(breaks, idx[:, None], axis=1)[:, 0])
-    alloc = np.clip(w[:, None] - finite_q, lo, hi)
-    floor = lo.sum(axis=1) >= target
+                 breaks[prev] + (target - totals.ravel()[prev])
+                 / np.maximum(s_prev, 1),
+                 breaks[idx + row])
+    alloc = np.subtract(w[:, None], finite_q)
+    np.clip(alloc, lo, hi, out=alloc)
+    floor = base >= target
     if floor.any():
-        alloc[floor] = lo[floor]
+        np.copyto(alloc, lo, where=floor[..., None])
     return alloc
+
+
+def _channels(x, k):
+    """x as a float array whose last axis is the K channels."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else np.full(k, x)
+
+
+def _running_sum(x):
+    """np.cumsum(x, axis=1) in place, one column at a time: the same sums in
+    the same order, without numpy's loop per row, which costs more than the
+    sums themselves on rows of 2K."""
+    for j in range(1, x.shape[1]):
+        x[:, j] += x[:, j - 1]
+    return x
 
 
 def project_box_budget_batch(z, lo, hi, budget):
@@ -184,20 +213,21 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, start=None):
     f = np.asarray(f, dtype=float)
     b, k = f.shape
     h = np.broadcast_to(np.asarray(h, dtype=float), (b, k))
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (b, k))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (b, k))
-    budget = np.broadcast_to(np.asarray(budget, dtype=float), (b,))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (b,))
     usable = h > 0
     hs = np.where(usable, h, 1.0)
     q = np.where(usable, f / hs, np.inf)
     alloc = waterfill_batch(q, lo, hi, budget)
     worst = f.copy()
-    u = h * alloc
-    r = u / (f * (f + u))
-    norm_r = np.sqrt((r * r).sum(axis=1))
-    del u, r  # the kernel's peak memory is its live (B, K) arrays
-    rows = np.flatnonzero((eps > 0) & (norm_r >= robust._DEGENERATE_GRAD))
+    stake = eps > 0
+    if stake.any():
+        u = h * alloc
+        r = u / (f * (f + u))
+        norm_r = np.sqrt((r * r).sum(axis=1))
+        del u, r  # the kernel's peak memory is its live (B, K) arrays
+        stake &= norm_r >= robust._DEGENERATE_GRAD
+    rows = np.flatnonzero(stake)
     if rows.size == 0:
         return alloc, worst
 
@@ -218,25 +248,30 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, start=None):
                        for x in start)
         warm = np.isfinite(w0) & np.isfinite(log_mu0)
         w, log_mu = np.where(warm, w0, w), np.where(warm, log_mu0, log_mu)
+    lo, hi = (np.broadcast_to(x, (b, k))[take] for x in (lo, hi))
     st = _Saddle(
-        rows, f[take], hs[take], usable[take], lo[take], hi[take],
+        rows, f[take], hs[take], usable[take], lo, hi,
         target=alloc[take].sum(axis=1), eps=eps[take], w_nom=w_nom[take],
         reach=reach[take], w=w, log_mu=log_mu)
     for _ in range(_SADDLE_ITERS):
         st.evaluate()
         done = st.converged()
-        if done.any():
+        finished = done.any()
+        if finished:
             alloc[st.rows[done]] = st.a[done]
             worst[st.rows[done]] = st.f[done] + st.s[done]
             if done.all():
                 return alloc, worst
-            st.keep(~done)
+        # the step is row by row, so the finished rows may take it too
         st.step()
-    alloc[st.rows] = st.a
+        if finished:
+            st.keep(~done)
+    live = ~done
+    alloc[st.rows] = st.a[live]
     raise IterationLimitError(
         f"robust waterfilling did not converge in {_SADDLE_ITERS} iterations",
         last_iterate=alloc, residual=float(np.max(np.maximum(
-            np.abs(st.res_w), np.abs(st.res_mu)))))
+            np.abs(st.res_w[live]), np.abs(st.res_mu[live])))))
 
 
 def robust_waterfill_jacobian(f, h, lo, hi, a, t):
@@ -338,6 +373,13 @@ class _Saddle:
     """Live rows of `robust_waterfill_batch`: the iterate (w, log mu), its
     brackets and last steps, and what `evaluate` finds there."""
 
+    # what a row carries from one iteration to the next; `evaluate` and
+    # `converged` recompute the rest
+    _STATE = ("rows", "f", "h", "inv_h", "lo", "hi", "edge", "u_lo", "u_hi",
+              "target", "eps", "log_eps", "w_nom", "reach", "tol_s", "log_mu",
+              "mu_lo", "mu_hi", "dmu", "dmu_old", "w_lo", "w_hi", "w", "dw",
+              "dw_old")
+
     def __init__(self, rows, f, h, usable, lo, hi, *, target, eps, w_nom,
                  reach, w, log_mu):
         self.rows, self.f, self.h, self.lo, self.hi = rows, f, h, lo, hi
@@ -359,12 +401,11 @@ class _Saddle:
         self.w_hi = w_nom + np.exp(0.5 * log_mu) * reach
         self.w = np.clip(w, w_nom, self.w_hi)
         self.dw, self.dw_old = np.full(n, np.inf), np.full(n, np.inf)
-        self.age = np.zeros(n)
+        self.age = 0  # steps taken, the same for every row
 
     def keep(self, live):
-        for key, val in vars(self).items():
-            if isinstance(val, np.ndarray):
-                setattr(self, key, val[live])
+        for key in self._STATE:
+            setattr(self, key, getattr(self, key)[live])
 
     def evaluate(self):
         """Allocation, shift and derivatives at the current (w, mu)."""

@@ -500,7 +500,10 @@ def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
     notes = {"leader": leader, "follower_iterations": nash.diagnostics.iterations,
              **search_notes, **(notes or {})}
     if believed_spec is not None:
-        f0_model = game.aggregate_impact(model_spec, actions, leader).values
+        # what the leader planned on: the followers' response under the
+        # believed gains
+        planned, _ = _realize(model_spec, unc, [leader], a0)
+        f0_model = game.aggregate_impact(model_spec, planned, leader).values
         notes["believed_leader_utility"] = game.utility(model_spec, leader, a0, f0_model)
     return _make_result(kind, spec, actions, iterations=iters,
                         residual=nash.diagnostics.residual, notes=notes)

@@ -145,8 +145,9 @@ def monte_carlo_cdf(config, eps=None):
     rows and the kernel keeps some three dozen arrays of that many rows
     alive, so the chunk bounds the working set: 200 instances with the
     robust solve's five starts make calls of up to 6000 rows.  The
-    2000-instance study (acceptance criterion 9) peaks at 48 MB resident,
-    29 MB of it the interpreter and numpy (Linux x86-64, one thread).
+    2000-instance study (acceptance criterion 9) takes about 4.8 s and
+    peaks at 48 MB resident, 29 MB of it the interpreter and numpy (a
+    2-CPU x86-64 Linux machine, one thread).
     With at most four restarts every start is deterministic and the engine
     works row by row, so the chunk size does not change the CDF.  With
     more, `lockstep.leader_starts` draws the Dirichlet starts per chunk

@@ -15,17 +15,20 @@ affine priced reactions exactly).
 starts, all (instance, start) rows in lockstep.  Each step makes one
 response call (with one follower, one kernel call), for a ladder of trial
 steps step * 2^-j, j = 0..LADDER-1, along each live row's gradient, so an
-ascent of n steps makes n + 1 calls, the first for its starts.  Each
-ladder call starts the kernel on every trial row at the saddle point of
-the row it stepped from (`budget.saddle_start`), so a short step costs a
-few Newton iterations; the starts call runs cold.  A row
+ascent of n steps makes n + 1 calls, the first for its starts.  A row
 moves to its best improving rung, and its next ladder starts at four times
 that rung's step; a row with no improving rung shrinks its step below the
 ladder, and it freezes once the step is below 1e-10 of the leader's
 budget.  The gradient is exact: the followers' response Jacobian
 (`budget.robust_waterfill_jacobian`) at the saddle points the kernel
 already returned, chained through the followers' equilibrium, so a row
-that moves gets its next gradient without another kernel call.  The ascent
+that moves gets its next gradient without another kernel call.  Beside
+its gradient a row keeps its kernel start, the level and log multiplier
+of its followers' saddle points (`budget.saddle_start`), and both are
+refreshed only when the row moves.  Each ladder call starts the kernel on
+every trial row at the start of the row it stepped from, so a short step
+costs a few Newton iterations; the starts call runs cold.  A nominal row
+has no multiplier, and its start is NaN, which the kernel ignores.  The ascent
 is a heuristic (the followers' reaction makes the leader's objective only
 piecewise smooth, and on a kink the gradient is that of the current
 piece); the starts guard against local maxima.
@@ -305,8 +308,8 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
     a smooth optimum, but not at one on a kink of the followers' reaction,
     where the gradient is that of one piece.  Each ladder call starts every
     trial row's kernel solve at the saddle points of the row it stepped
-    from; that changes a robust row's result only by the kernel's
-    tolerance, and a nominal one's not at all.
+    from, kept with that row's gradient; that changes a robust row's result
+    only by the kernel's tolerance, and a nominal one's not at all.
     """
     lead = game.leader
     lo, hi, p = game.lo[lead], game.hi[lead], float(game.budget[lead])
@@ -321,6 +324,7 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
     floors = np.broadcast_to(resp.lo, (b * s,) + resp.lo.shape)
     val, eq = resp.evaluate(inst, a0, floors)
     grad = resp.gradient(inst, a0, eq)
+    start = resp.starts(inst, eq)
     step = np.full(b * s, 0.25 * p)
     rungs = 0.5 ** np.arange(LADDER)
     live = np.arange(b * s)
@@ -335,8 +339,7 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
              ).reshape(-1, k), lo, hi, p)
         rep = np.repeat(live, LADDER)
         # every rung starts from its parent row's saddle points
-        start = np.repeat(resp.starts(inst[live], eq[live]), LADDER, axis=0)
-        cv, ceq = resp.evaluate(inst[rep], cand, eq[rep, 0], start)
+        cv, ceq = resp.evaluate(inst[rep], cand, eq[rep, 0], start[rep])
         cv = cv.reshape(n, LADDER)
         gain = np.where(cv > val[live][:, None] + 1e-14, cv, -np.inf)
         rung = gain.argmax(axis=1)
@@ -345,6 +348,7 @@ def leader_ascent(game, eps, *, restarts=4, seed=0, n_steps=60,
         rows = live[moved]
         a0[rows], val[rows], eq[rows] = cand[pick], cv.ravel()[pick], ceq[pick]
         grad[rows] = resp.gradient(inst[rows], a0[rows], eq[rows])
+        start[rows] = resp.starts(inst[rows], eq[rows])
         step[rows] = 4.0 * trial[moved, rung[moved]]
         step[live[~moved]] *= 0.5 ** LADDER
         live = live[step[live] >= _FREEZE * p]

@@ -105,6 +105,53 @@ class TestWaterfill:
             want = waterfill_level_oracle(q[i], lo[i], hi[i], budgets[i])
             assert batch[i] == pytest.approx(want, abs=1e-9)
 
+    def test_tied_breakpoints(self):
+        # integer-valued rows tie many breakpoints, floors with ceilings
+        # among them; the sort need not order a tie stably, so the rows
+        # must come out the same with their channels in any order
+        rng = np.random.default_rng(25)
+        n, k = 400, 5
+        q = rng.integers(0, 4, size=(n, k)).astype(float)
+        q[rng.uniform(size=(n, k)) < 0.1] = np.inf
+        lo = np.where(rng.uniform(size=(n, k)) < 0.4,
+                      rng.integers(0, 3, size=(n, k)), 0).astype(float)
+        hi = lo + rng.integers(0, 4, size=(n, k))
+        hi[rng.uniform(size=(n, k)) < 0.2] = np.inf
+        budget = rng.integers(1, 16, size=n).astype(float)
+        batch = waterfill_batch(q, lo, hi, budget)
+        perm = rng.permutation(k)
+        assert np.array_equal(
+            waterfill_batch(q[:, perm], lo[:, perm], hi[:, perm], budget),
+            batch[:, perm])
+        for i in range(n):
+            alone = waterfill_batch(q[i:i + 1], lo[i], hi[i], budget[i])[0]
+            assert np.array_equal(alone, batch[i])
+            # a channel with infinite q keeps its floor; the others share
+            # what is left
+            live = np.isfinite(q[i])
+            want = lo[i].copy()
+            if live.any():
+                want[live] = waterfill_level_oracle(
+                    q[i, live], lo[i, live], hi[i, live],
+                    budget[i] - lo[i, ~live].sum())
+            assert np.max(np.abs(batch[i] - want)) <= 1e-12
+
+    def test_shared_box_rows_alone(self):
+        # a box shared by every row is summed once, so a row's allocation
+        # does not depend on the rows beside it, at any K
+        rng = np.random.default_rng(26)
+        n, k = 10, 9
+        for _ in range(30):
+            q = rng.uniform(0.05, 3.0, size=(n, k))
+            lo = rng.uniform(0.0, 0.5, size=k)
+            hi = lo + rng.uniform(0.1, 3.0, size=k)
+            budget = rng.uniform(0.5, 1.5, size=n) * hi.sum()
+            batch = waterfill_batch(q, lo, hi, budget)
+            for i in range(n):
+                assert np.array_equal(
+                    waterfill_batch(q[i:i + 1], lo, hi, budget[i])[0],
+                    batch[i])
+
 
 def random_box(rng, k):
     """Inverse qualities, a box with some positive floors and infinite

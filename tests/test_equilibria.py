@@ -603,8 +603,9 @@ class TestSolveRse1:
                     assert rse1.utilities[0] >= held.utilities[0] - 1e-9
 
     def test_priced_results_count_their_nash_solves(self, monkeypatch):
-        # every followers' Nash solve of the leader search, and one more
-        # for the realization
+        # every followers' Nash solve of the leader search, one more for
+        # the realization and, in case 2, one for the response the leader
+        # planned on (`notes["believed_leader_utility"]`)
         calls = []
         solve = equilibria._followers_fixed_point
 
@@ -614,12 +615,12 @@ class TestSolveRse1:
 
         monkeypatch.setattr(equilibria, "_followers_fixed_point", counted)
         spec = random_priced_multi_follower(np.random.default_rng(3))
-        for run in (lambda: rs.solve_nse(spec),
-                    lambda: rs.solve_rse1(spec, 0.04),
-                    lambda: rs.solve_rse2(spec, 0.04, 0.04)):
+        for run, outside in ((lambda: rs.solve_nse(spec), 1),
+                             (lambda: rs.solve_rse1(spec, 0.04), 1),
+                             (lambda: rs.solve_rse2(spec, 0.04, 0.04), 2)):
             calls.clear()
             notes = run().diagnostics.notes
-            assert notes["nash_solves"] == len(calls) - 1 > 0
+            assert notes["nash_solves"] == len(calls) - outside > 0
 
 
 class TestRse1ClosedForm:
@@ -671,6 +672,15 @@ class TestSolveRse2:
         nse = rs.solve_nse(e1_spec)
         assert res.utilities[0] < nse.utilities[0]
         assert res.utilities[1] > nse.utilities[1]
+
+    def test_believed_utility_is_the_planned_one(self, e1_spec):
+        # the leader plans on the follower's reaction to the believed gain
+        # 0.5 - 0.1; the realized reaction, to the true gain 0.5, differs
+        planned = e1_oracle().grid_nse(believed_gain=0.4)
+        res = rs.solve_rse2(e1_spec, 0.0, 0.1)
+        believed = res.diagnostics.notes["believed_leader_utility"]
+        assert believed == pytest.approx(planned["w0"], abs=1e-6)
+        assert believed < res.utilities[0] - 1e-3
 
     def test_empty_radii_match_nse(self, e1_spec):
         nse = rs.solve_nse(e1_spec)

@@ -12,7 +12,7 @@ import pytest
 import rsgame as rs
 from rsgame import lockstep
 from rsgame.budget import (robust_waterfill_batch, robust_waterfill_jacobian,
-                          saddle_start)
+                          saddle_start, waterfill_batch)
 from rsgame.harness import cooperative_leaders_nse
 
 from conftest import random_priced_multi_follower, random_priced_two_player
@@ -32,6 +32,18 @@ def test_worst_case_observation(benchmark, k):
                         noise=0.01, leaders=(), action_max=10.0, budget=[10.0])
     wco = benchmark(rs.worst_case_observation, spec, 0, A[:k], F[:k], EPS)
     assert np.linalg.norm(wco.values - F[:k]) == pytest.approx(EPS, rel=1e-9)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("rows", [1, 1920])
+def test_waterfill_batch(benchmark, rows):
+    # the K = 4 state above with the impacts scaled as below, in the box
+    # [0, 10] every row shares; 1920 rows is one ladder call of the Monte
+    # Carlo engine, 64 instances x 5 starts x 6 rungs
+    scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(rows, 1))
+    q = F * scale / H
+    a = benchmark(waterfill_batch, q, np.zeros(4), np.full(4, 10.0), 10.0)
+    assert np.allclose(a.sum(axis=1), 10.0)
 
 
 @pytest.mark.bench

@@ -17,7 +17,7 @@ and one ball multiplier per row: in closed form per channel for a fixed
 Schur complement, in the log multiplier.  `robust_waterfill` is its one-row
 call.  `robust_waterfill_jacobian` differentiates the saddle point
 implicitly: da/df from the same per-channel pieces and one 2x2 solve in the
-(level, multiplier) per row.
+(level, multiplier) per row, or with the level pinned at a price's 1/c.
 """
 
 from dataclasses import dataclass
@@ -274,7 +274,7 @@ def robust_waterfill_batch(f, h, lo, hi, budget, eps, start=None):
             np.abs(st.res_w[live]), np.abs(st.res_mu[live])))))
 
 
-def robust_waterfill_jacobian(f, h, lo, hi, a, t):
+def robust_waterfill_jacobian(f, h, lo, hi, a, t, pinned=False):
     """Jacobian da/df (R, K, K) of `robust_waterfill_batch` at its saddle points.
 
     f, h, lo and hi are the kernel's inputs and a, t its outputs, (R, K) or
@@ -289,6 +289,8 @@ def robust_waterfill_jacobian(f, h, lo, hi, a, t):
     both, with sum(da) = 0 and sum(s ds) = 0, leaves a 2x2 solve in
     (dw, dmu) per row.  A row with s = 0 (eps = 0, or nothing at stake)
     drops the ball row, and a row with no inner channel has da = 0.
+    `pinned` keeps the level instead of the budget, dw = 0: the priced
+    robust reaction clip(1/c - t/h) at its worst observation t.
     """
     f = np.asarray(f, dtype=float)
     r, k = f.shape
@@ -311,19 +313,21 @@ def robust_waterfill_jacobian(f, h, lo, hi, a, t):
     s_mu = np.where(inner, t_mu, u / g_s)
     s_f = np.where(inner, t_f - 1.0, -s * p2u / g_s)
     # da = a_w dw + a_mu dmu - b_w df on each channel; the budget row
-    # sum(da) = 0 and the ball row sum(s ds) = 0, one column per df_j
+    # sum(da) = 0 (dw = 0 with the level pinned) and the ball row
+    # sum(s ds) = 0, one column per df_j
     a_w = np.where(inner, 1.0 - t_w * inv_h, 0.0)
     a_mu = -t_mu * inv_h
     b_w = t_f * inv_h
     b_mu = -s * s_f
-    da_dw, da_dmu = a_w.sum(axis=1)[:, None], a_mu.sum(axis=1)[:, None]
+    da_dw, da_dmu, b_row = (1.0, 0.0, 0.0) if pinned else (
+        a_w.sum(axis=1)[:, None], a_mu.sum(axis=1)[:, None], b_w)
     ss_w = np.where(inner, s * t_w, 0.0).sum(axis=1)[:, None]
     ss_mu = (s * s_mu).sum(axis=1)[:, None]
     ball = ss_mu > 0
     det = np.where(ball, da_dw * ss_mu - da_dmu * ss_w, da_dw)
     det = np.where(det > 0, det, 1.0)
-    dw = np.where(ball, ss_mu * b_w - da_dmu * b_mu, b_w) / det
-    dmu = np.where(ball, da_dw * b_mu - ss_w * b_w, 0.0) / det
+    dw = np.where(ball, ss_mu * b_row - da_dmu * b_mu, b_row) / det
+    dmu = np.where(ball, da_dw * b_mu - ss_w * b_row, 0.0) / det
     jac = a_w[:, :, None] * dw[:, None, :] + a_mu[:, :, None] * dmu[:, None, :]
     idx = np.arange(k)
     jac[:, idx, idx] -= b_w

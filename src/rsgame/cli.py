@@ -116,11 +116,10 @@ def _cmd_sweep(config, args):
 
 
 def _cmd_montecarlo(config, args):
-    if args.scenario and args.scenario != "none":
-        scenario = dataclasses.replace(config.scenario, filter=args.scenario)
-        config = dataclasses.replace(config, scenario=scenario)
-    elif args.scenario == "none":
-        scenario = dataclasses.replace(config.scenario, filter=None)
+    if args.scenario:
+        scenario = dataclasses.replace(
+            config.scenario,
+            filter=None if args.scenario == "none" else args.scenario)
         config = dataclasses.replace(config, scenario=scenario)
     cdf = monte_carlo_cdf(config)
     print(f"instances: {cdf.total}  excluded: {cdf.excluded}")

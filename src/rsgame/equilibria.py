@@ -45,9 +45,8 @@ _LEADER_SWEEPS = 60  # and its sweep limit
 class Diagnostics:
     """Solver telemetry attached to every equilibrium result.
 
-    `iterations` counts the Nash sweeps of `followers_nash`, or its Newton
-    steps where two or more priced followers react affinely, and the leader
-    search's sweeps or ascent steps of a bi-level solve.
+    `iterations` counts `followers_nash`'s Newton steps (one for a lone
+    follower) and a bi-level solve's leader sweeps or ascent steps.
     """
 
     iterations: int
@@ -120,27 +119,33 @@ def _make_result(kind, spec, actions, iterations, residual, notes=None):
 # best responses
 # ---------------------------------------------------------------------------
 
-def _priced_reaction(spec, players, f_obs):
+def _priced_reaction(spec, players):
     """Box-clamped solution of the priced first-order condition.
 
-    `players` is a list of player indices and f_obs their (Nf, K) observed
-    impacts; returns the (Nf, K) reactions 1/c - f_obs/h, clamped to the
-    box.  A zero direct gain gives the floor and a zero price the ceiling,
-    which must be finite there.  The reaction's slope in f_obs is -1/h where
-    it lies strictly inside the box and 0 on a bound, so those constant
-    reactions have slope 0.
+    `players` is a list of player indices; returns the function of their
+    (Nf, K) observed impacts f_obs that gives the (Nf, K) reactions
+    1/c - f_obs/h, clamped to the box.  A zero direct gain gives the floor
+    and a zero price the ceiling, which must be finite there.  The
+    reaction's slope in f_obs is -1/h where it lies strictly inside the box
+    and 0 on a bound.
     """
     rows = np.asarray(players)
     h = spec.cross_gain[rows, rows]
-    c = spec.utility_model.price[rows, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(h > 0, 1.0 / c - f_obs / h, -np.inf)
-    a = np.minimum(np.maximum(raw, spec.action_min[rows]),
-                   spec.action_max[rows])
-    if math.isinf(a.max()):
-        raise DegenerateModelError(
-            "zero price with an unbounded action box has no optimum")
-    return a
+    usable = h > 0
+    h = np.where(usable, h, 1.0)
+    with np.errstate(divide="ignore"):
+        level = 1.0 / spec.utility_model.price[rows, None]
+    lo, hi = spec.action_min[rows], spec.action_max[rows]
+
+    def react(f_obs):
+        a = np.minimum(np.maximum(
+            np.where(usable, level - f_obs / h, -np.inf), lo), hi)
+        if math.isinf(a.max()):
+            raise DegenerateModelError(
+                "zero price with an unbounded action box has no optimum")
+        return a
+
+    return react
 
 
 def _affine_reactions(spec, eps):
@@ -170,18 +175,23 @@ def follower_best_response(spec, player, others, eps):
         raise InvalidSpecError(f"player {player} is not a follower")
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
-    return _response(spec, player,
-                     game.aggregate_impact(spec, others, player).values, eps)
+    f_nom = game.aggregate_impact(spec, others, player).values
+    return _response(spec, player, f_nom, eps)[0]
 
 
 def _response(spec, player, f_nom, eps):
-    """`follower_best_response` to the nominal impact f_nom (K,)."""
+    """`follower_best_response` to the nominal impact f_nom (K,), and the
+    observation it reacts to: (action, observation)."""
     if spec.is_budgeted:
-        return budget_mod.robust_waterfill(spec, player, f_nom, eps,
-                                           spec.budget(player))
+        return tuple(x[0] for x in budget_mod.robust_waterfill_batch(
+            f_nom[None], spec.direct_gain(player)[None],
+            spec.action_min[player], spec.action_max[player],
+            spec.budget(player), eps))
+    react = _priced_reaction(spec, player)
     if _affine_reactions(spec, eps):
-        return _priced_reaction(spec, [player], (f_nom + eps)[None])[0]
-    a = _priced_reaction(spec, [player], f_nom[None])[0]
+        f_obs = f_nom + eps
+        return react(f_obs), f_obs
+    a = react(f_nom)
     # the worst case is evaluated just above zero actions: the limiting
     # direction there is the saddle selection (an exactly-zero action has a
     # degenerate gradient, which would otherwise cycle at the knife edge
@@ -191,13 +201,13 @@ def _response(spec, player, f_nom, eps):
     for it in range(_BR_ITERS):
         wco = robust.worst_case_observation(spec, player, np.maximum(a, floor),
                                             f_nom, eps)
-        a_next = _priced_reaction(spec, [player], wco.values[None])[0]
+        a_next = react(wco.values)
         if it >= 3:
             a_next = (1.0 - damping) * a + damping * a_next
         res = float(np.max(np.abs(a_next - a)))
         a = a_next
         if res < _BR_TOL:
-            return a
+            return a, wco.values
         if res > 0.9 * best_res:
             stall += 1
             if stall >= 10:
@@ -214,12 +224,10 @@ def followers_nash(spec, leaders_profile, eps=0.0):
 
     From the profile's follower rows (zeros are fine), to `lockstep.NASH_TOL`;
     it returns the best responses, so a follower clamped at a bound sits
-    exactly on it.  Two or more priced followers whose reactions are affine
-    (`_affine_reactions`) are solved exactly by `_affine_nash`, and
-    `diagnostics.iterations` counts its Newton steps; every other game runs
-    `lockstep.jacobi`, and counts its sweeps.  A lone follower responds
-    once.  An `IterationLimitError` of either carries the last (N, K)
-    profile.
+    exactly on it.  Two or more followers are solved by `lockstep.nash`,
+    Newton steps on the followers' reactions, and `diagnostics.iterations`
+    counts them; a lone follower responds once.  An `IterationLimitError`
+    of either carries the last (N, K) profile.
     """
     unc = robust.coerce_uncertainty(spec, eps=eps)
     actions, steps, res = _followers_fixed_point(spec, leaders_profile, unc)
@@ -236,94 +244,48 @@ def _followers_fixed_point(spec, leaders_profile, unc):
     if len(fol) == 1:  # its own action does not move its impact
         n = fol[0]
         actions[n] = _response(spec, n, game.aggregate_impact(
-            spec, actions, n).values, unc.obs_radius[n])
+            spec, actions, n).values, unc.obs_radius[n])[0]
         return actions, 1, 0.0
-    fixed = actions.copy()
-    fixed[fol] = 0.0
-    base = game.all_impacts(spec, fixed)[fol]
-    cross = (spec.cross_gain[np.ix_(fol, fol)]
-             * (1.0 - np.eye(len(fol)))[..., None])
     eps = unc.obs_radius[fol]
+    gains, lead = spec.cross_gain[fol], list(spec.leaders)
+    base = spec.noise[fol] + np.einsum("nmk,mk->nk", gains[:, lead],
+                                       actions[lead])
+    cross = gains[:, fol] * (1.0 - np.eye(len(fol)))[..., None]
+    lo, hi = spec.action_min[fol], spec.action_max[fol]
+    h = spec.cross_gain[fol, fol]
     if _affine_reactions(spec, eps):
-        return _affine_nash(spec, fol, base + eps[:, None], cross, actions)
+        base, react = base + eps[:, None], _priced_reaction(spec, fol)
+        slope = -np.divide(1.0, h, out=np.zeros_like(h), where=h > 0)
 
-    def respond(f, rows):
-        return np.stack([_response(spec, n, f[0, i], unc.obs_radius[n])
-                         for i, n in enumerate(fol)])[None, None]
+        def respond(f, rows):
+            return react(f[0])[None, None]
+
+        def jacobian(eq, rows):  # -diag(free/h): per dimension a box LCP
+            free = (lo < eq[0, 0]) & (eq[0, 0] < hi)
+            return (np.where(free, slope, 0.0)[None, ..., None]
+                    * np.eye(spec.n_dims))
+    else:
+        def respond(f, rows):
+            acts, obs = zip(*(_response(spec, n, f[0, i], eps[i])
+                              for i, n in enumerate(fol)))
+            return np.stack([acts, f[0], obs])[None]
+
+        def jacobian(eq, rows):
+            return budget_mod.robust_waterfill_jacobian(
+                eq[0, 1], h, lo, hi, eq[0, 0], eq[0, 2],
+                pinned=spec.is_priced)[None]
 
     try:
-        eq, sweeps, residual = lockstep.jacobi(
-            respond, base[None], cross[None], actions[None, fol])
+        eq, steps, residual = lockstep.nash(respond, jacobian, base[None],
+                                            cross[None], actions[None, fol],
+                                            lo, hi)
     except IterationLimitError as exc:
-        if np.ndim(exc.last_iterate) == 3:  # the sweeps', not a response's
+        if np.ndim(exc.last_iterate) == 3:  # the solve's, not a response's
             actions[fol] = exc.last_iterate[0]
             exc.last_iterate = actions
         raise
     actions[fol] = eq[0, 0]
-    return actions, sweeps, float(residual[0])
-
-
-def _affine_nash(spec, fol, fixed, cross, actions):
-    """Nash equilibrium of priced followers whose reactions are affine.
-
-    `fixed` (Nf, K) holds the followers' observed impacts from all but them,
-    cross (Nf, Nf, K) their cross gains X, zero diagonal.  Per dimension the
-    reactions R(a) = clip(1/c - (fixed + X a)/h) make a box-constrained
-    linear complementarity problem, with one solution when I + diag(1/h) X
-    is a P-matrix (Cottle, Pang & Stone, The Linear Complementarity Problem,
-    1992).  Newton steps on a - R(a), every dimension at once: the Jacobian
-    per dimension is I + diag(free/h) X, `free` marking the unclamped
-    followers, so a step from the solution's clamp state lands on it.  The
-    step is clipped to the box.  A step that does not lower max|R(a) - a|
-    below the least residual reached is replaced by a damped Jacobi step,
-    whose damping halves down to 1/4 as `lockstep.jacobi`'s does; comparing
-    with the least residual, not the last one, keeps a Newton step from
-    undoing the Jacobi steps that follow a stalled one.
-
-    From the followers' rows of `actions` (N, K), to `lockstep.NASH_TOL`;
-    returns the profile with those rows set to the responses R(a), the
-    steps and the residual.  Raises `IterationLimitError` with the (N, K)
-    profile after `lockstep.NASH_SWEEPS` steps.
-    """
-    lo, hi = spec.action_min[fol], spec.action_max[fol]
-    h = spec.cross_gain[fol, fol]
-    inv_h = np.divide(1.0, h, out=np.zeros_like(h), where=h > 0)
-    gains = np.moveaxis(cross, -1, 0)  # (K, Nf, Nf)
-    eye = np.eye(len(fol))
-
-    def respond(a):
-        r = _priced_reaction(spec, fol,
-                             fixed + np.einsum("nmk,mk->nk", cross, a))
-        return r, float(np.max(np.abs(r - a)))
-
-    a = actions[fol]
-    r, res = respond(a)
-    steps, damping, best = 0, 1.0, res
-    while res >= lockstep.NASH_TOL:
-        if steps == lockstep.NASH_SWEEPS:
-            actions[fol] = a
-            raise IterationLimitError(
-                f"followers' Nash iteration did not converge in {steps} "
-                "steps (coupling may violate the P-matrix uniqueness "
-                "condition)", last_iterate=actions, residual=res)
-        steps += 1
-        free = np.where((lo < r) & (r < hi), inv_h, 0.0)
-        try:
-            step = np.linalg.solve(eye + free.T[:, :, None] * gains,
-                                   (a - r).T[:, :, None])
-        except np.linalg.LinAlgError:  # a singular clamp state
-            out = None
-        else:
-            trial = np.clip(a - step[:, :, 0].T, lo, hi)
-            out = respond(trial)
-        if out is None or out[1] >= best:
-            damping = max(0.25, 0.5 * damping)
-            trial = (1.0 - damping) * a + damping * r
-            out = respond(trial)
-        a, (r, res) = trial, out
-        best = min(best, res)
-    actions[fol] = r
-    return actions, steps, res
+    return actions, steps, float(residual[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,9 @@ A `StackedGame` holds B instances of one budgeted game shape: gains
 of the one leader; every other player follows.  The followers' response to
 a leader action is their Nash equilibrium, each follower playing its robust
 waterfill against its aggregate impact (`budget.robust_waterfill_batch`):
-one kernel call over all rows with one follower, with several one call over
-rows x followers per sweep of `jacobi`.  `jacobi` is the Nash iteration of
-every solver whose followers' reactions are not affine: the budgeted
-waterfill, and the priced robust response at K > 1 (`equilibria` solves
-affine priced reactions exactly).
+one kernel call over all rows with one follower, with several one or two
+calls over rows x followers per Newton step of `nash`, the followers' Nash
+solve of every solver (`equilibria` passes it the priced reactions).
 
 `leader_ascent` is a projected gradient ascent of every leader from several
 starts, all (instance, start) rows in lockstep.  Each step makes one
@@ -52,10 +50,9 @@ from .errors import IterationLimitError
 LADDER = 6
 # freezing step, relative to the leader's budget
 _FREEZE = 1e-10
-# the followers' Nash solves (`jacobi`, and `equilibria`'s exact solve of
-# affine reactions): their residual and sweep or step limit
+# the followers' Nash solve (`nash`): its residual and step limit
 NASH_TOL = 1e-12
-NASH_SWEEPS = 500
+NASH_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -160,15 +157,16 @@ class _Response:
         return np.stack([alloc.reshape(f.shape), f, worst.reshape(f.shape)],
                         axis=1)
 
+    def _saddles(self, inst, eq):
+        """Rows (R * Nf, K) of the kernel's f, h, lo, hi, a, t at `eq`."""
+        a, f, t = eq.transpose(1, 0, 2, 3).reshape(3, -1, eq.shape[3])
+        return (f, *self._gains_and_boxes(inst, eq[:, 0].shape), a, t)
+
     def starts(self, inst, eq):
         """Kernel starts (R, Nf, 2), each follower's (w, log mu) at the
         saddle points of the equilibrium stack `eq`."""
-        r, _, nf, k = eq.shape
-        h, lo, hi = self._gains_and_boxes(inst, eq[:, 0].shape)
-        w, log_mu = saddle_start(eq[:, 1].reshape(-1, k), h, lo, hi,
-                                 eq[:, 0].reshape(-1, k),
-                                 eq[:, 2].reshape(-1, k))
-        return np.stack([w, log_mu], axis=1).reshape(r, nf, 2)
+        start = np.stack(saddle_start(*self._saddles(inst, eq)), axis=1)
+        return start.reshape(eq.shape[0], eq.shape[2], 2)
 
     def evaluate(self, inst, a0, seed, start=None):
         """Leader utilities and the followers' equilibrium for rows (inst, a0);
@@ -179,10 +177,17 @@ class _Response:
             return self._kernel(f, inst[rows],
                                 None if start is None else start[rows])
 
-        eq = (jacobi(respond, base, self.cross[inst], seed)[0]
+        eq = (nash(respond, lambda eq, rows: self.jacobian(inst[rows], eq),
+                   base, self.cross[inst], seed, self.lo, self.hi)[0]
               if base.shape[1] else np.stack([base] * 3, axis=1))
         f0 = self.noise0[inst] + (self.to_leader[inst] * eq[:, 0]).sum(axis=1)
         return np.log1p(self.h0[inst] * a0 / f0).sum(axis=1), eq
+
+    def jacobian(self, inst, eq):
+        """The followers' response Jacobians (R, Nf, K, K) at stack `eq`."""
+        r, _, nf, k = eq.shape
+        return robust_waterfill_jacobian(*self._saddles(inst, eq)).reshape(
+            r, nf, k, k)
 
     def gradient(self, inst, a0, eq):
         """The leader's utility gradient (R, K) at rows (inst, a0), whose
@@ -190,7 +195,8 @@ class _Response:
 
         dU0/da0 + H0^T DR^T lam, with H0 the leader's gains into the
         followers, DR their block-diagonal response Jacobian, X their cross
-        gains, g = dU0/da_F, and lam the solution of (I - DR X)^T lam = g.
+        gains, g = dU0/da_F, and lam the solution of (I - DR X)^T lam = g;
+        a lone follower has X = 0 and lam = g.
         """
         a = eq[:, 0]
         r, nf, k = a.shape
@@ -198,56 +204,84 @@ class _Response:
         f0 = self.noise0[inst] + (to_leader * a).sum(axis=1)
         total = f0 + h0 * a0
         g = -to_leader * (h0 * a0 / (f0 * total))[:, None, :]
-        h, lo, hi = self._gains_and_boxes(inst, a.shape)
-        dr = robust_waterfill_jacobian(
-            eq[:, 1].reshape(-1, k), h, lo, hi, a.reshape(-1, k),
-            eq[:, 2].reshape(-1, k)).reshape(r, nf, k, k)
-        # (DR X)[(n, i), (m, j)] = DR_n[i, j] X[n, m, j]
-        couple = dr[:, :, :, None, :] * self.cross[inst][:, :, None, :, :]
-        m = np.eye(nf * k) - couple.reshape(r, nf * k, nf * k)
-        lam = np.linalg.solve(m.transpose(0, 2, 1),
-                              g.reshape(r, nf * k, 1)).reshape(r, nf, k)
+        dr = self.jacobian(inst, eq)
+        lam = g if nf == 1 else np.linalg.solve(
+            newton_matrix(dr, self.cross[inst]).transpose(0, 2, 1),
+            g.reshape(r, nf * k, 1)).reshape(r, nf, k)
         chained = np.einsum("rnij,rni->rnj", dr, lam)
         return h0 / total + (self.from_leader[inst] * chained).sum(axis=1)
 
 
-def jacobi(respond, base, cross, seed):
-    """Followers' Nash equilibrium by damped Jacobi sweeps, row by row.
+def newton_matrix(dr, cross):
+    """I - DR X (R, Nf K, Nf K), the Jacobian of a - R(base + X a), of the
+    followers' response Jacobians DR (R, Nf, K, K) and cross gains X."""
+    r, nf, k, _ = dr.shape
+    # (DR X)[(n, i), (m, j)] = DR_n[i, j] X[n, m, j]
+    couple = dr[:, :, :, None, :] * cross[:, :, None, :, :]
+    return np.eye(nf * k) - couple.reshape(r, nf * k, nf * k)
+
+
+def nash(respond, jacobian, base, cross, seed, lo, hi):
+    """Followers' Nash equilibrium by semismooth Newton steps, row by row.
 
     base (R, Nf, K): the followers' impacts from all but them; cross (R, Nf,
-    Nf, K): their cross gains, zero diagonal; `respond(f, rows)` stacks the
-    responses to impacts f of `rows`, actions in [:, 0].  From `seed`, a row
-    stops once every follower is within `NASH_TOL` of its response and
-    returns the responses; a sweep whose residual grew halves its damping,
-    down to 1/4.  A lone follower, whose impact its own action cannot move,
-    responds once.  Returns (stack, sweeps, per-row residual).
+    Nf, K): their cross gains X, zero diagonal; lo, hi their (Nf, K) boxes.
+    `respond(f, rows)` stacks the responses R to impacts f of `rows`,
+    actions in [:, 0], and `jacobian(eq, rows)` their Jacobians DR in f.
+    From `seed`, a step clips a + d to the box, where (I - DR X) d = R(a) - a
+    (Qi & Sun, Math. Program. 58, 1993); a row whose step does not lower
+    max|R - a| below its least, or a singular step, takes a damped response
+    step instead, damping halved down to 1/4.  Rows stop below `NASH_TOL`;
+    a lone follower responds once.  Returns (stack, steps, residuals).
     """
     rows = np.arange(base.shape[0])
     if base.shape[1] == 1:
         return respond(base, rows), 1, np.zeros(rows.size)
-    a, residual = np.array(seed, dtype=float), np.empty(rows.size)
-    damping, prev = np.ones(rows.size), np.full(rows.size, np.inf)
-    for sweep in range(1, NASH_SWEEPS + 1):
-        f = base[rows] + np.einsum("rnmk,rmk->rnk", cross[rows], a[rows])
-        eq = respond(f, rows)
-        res = np.abs(eq[:, 0] - a[rows]).max(axis=(1, 2))
-        if sweep == 1:
-            out = np.empty((rows.size,) + eq.shape[1:])
+
+    def respond_at(x, rows, base, cross):
+        eq = respond(base + np.einsum("rnmk,rmk->rnk", cross, x), rows)
+        return eq, np.abs(eq[:, 0] - x).max(axis=(1, 2))
+
+    # the live rows' iterates, responses, residuals and data
+    a = np.asarray(seed, dtype=float)
+    eq, res = respond_at(a, rows, base, cross)
+    out, residual = np.empty_like(eq), np.empty(rows.size)
+    best, damping, steps = res, np.ones(rows.size), 0
+    while True:
         done = res < NASH_TOL
-        out[rows[done]], residual[rows[done]] = eq[done], res[done]
-        live = ~done
-        rows, resp, res = rows[live], eq[live, 0], res[live]
-        if rows.size == 0:
-            return out, sweep, residual
-        damping = np.where(res > prev[live], np.maximum(
-            0.25, 0.5 * damping[live]), damping[live])
-        prev = res
-        d = damping[:, None, None]
-        a[rows] = (1.0 - d) * a[rows] + d * resp
-    raise IterationLimitError(
-        f"followers' Nash iteration did not converge in {NASH_SWEEPS} "
-        "sweeps (coupling may violate the P-matrix uniqueness condition)",
-        last_iterate=a, residual=float(res.max()))
+        if done.any():
+            if done.all() and rows.size == len(out):  # every row at once
+                return eq, steps, res
+            out[rows[done]], residual[rows[done]] = eq[done], res[done]
+            if done.all():
+                return out, steps, residual
+            rows, a, eq, res, best, damping, base, cross = (
+                x[~done] for x in (rows, a, eq, res, best, damping, base,
+                                   cross))
+        if steps == NASH_STEPS:
+            out[rows, 0] = a
+            raise IterationLimitError(
+                f"followers' Nash solve did not converge in {steps} steps "
+                "(is their coupling a P-matrix?)", last_iterate=out[:, 0],
+                residual=float(res.max()))
+        steps += 1
+        try:
+            d = np.linalg.solve(newton_matrix(jacobian(eq, rows), cross),
+                                (eq[:, 0] - a).reshape(rows.size, -1, 1))
+        except np.linalg.LinAlgError:
+            trial, t_eq, t_res = a.copy(), eq.copy(), np.full(len(a), np.inf)
+        else:
+            trial = np.clip(a + d.reshape(a.shape), lo, hi)
+            t_eq, t_res = respond_at(trial, rows, base, cross)
+        back = ~(t_res < best)
+        if back.any():
+            damping[back] = np.maximum(0.25, 0.5 * damping[back])
+            w = damping[back][:, None, None]
+            trial[back] = (1.0 - w) * a[back] + w * eq[back, 0]
+            t_eq[back], t_res[back] = respond_at(trial[back], rows[back],
+                                                 base[back], cross[back])
+        a, eq, res = trial, t_eq, t_res
+        best = np.minimum(best, res)
 
 
 def leader_starts(game, restarts=4, seed=0):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rsgame as rs
 from rsgame import budget as budget_mod
+from rsgame import equilibria
 from rsgame.budget import (project_box_budget, robust_waterfill_batch,
                            robust_waterfill_jacobian, waterfill_batch)
 from rsgame.errors import InvalidSpecError, IterationLimitError
@@ -591,6 +592,39 @@ class TestRobustWaterfillJacobian:
         want[:3, :3] = 1.0 / 3.0 - np.eye(3)
         jac = robust_waterfill_jacobian(f, 1.0, 0.0, np.inf, a, t)
         assert np.max(np.abs(jac[0] - want)) <= 1e-15
+
+    def test_pinned_level_is_the_priced_robust_reaction(self):
+        # the priced robust reaction a = clip(1/c - t/h, lo, hi) to its
+        # worst observation t pins the level at 1/c and has no budget row:
+        # its Jacobian against central differences of the damped loop, on
+        # states away from kinks; floors of 0.1 put the channels on their
+        # floor on the cubic's branch (u > 0)
+        rng = np.random.default_rng(23)
+        errors, cubic = [], 0
+        for i in range(120):
+            k, lo = int(rng.integers(2, 5)), (0.0, 0.1)[i % 2]
+            h = rng.uniform(0.5, 2.0, size=k)
+            spec = rs.make_spec(direct=h[None], cross=np.zeros((1, 1, k)),
+                                noise=0.1, leaders=(), action_min=lo,
+                                action_max=8.0,
+                                price=[rng.uniform(0.4, 1.2)])
+            f = rng.uniform(0.05, 1.5, size=k)
+            eps = rng.uniform(0.02, 0.1)
+            a, t = equilibria._response(spec, 0, f, eps)
+            jac = robust_waterfill_jacobian(f[None], h, lo, 8.0, a[None],
+                                            t[None], pinned=True)[0]
+            moved = np.array([[equilibria._response(spec, 0, f + sign * e,
+                                                    eps)[0]
+                               for e in FD_STEP * np.eye(k)]
+                              for sign in (1.0, -1.0)])
+            if not np.all(_pieces(moved, h, lo, 8.0)
+                          == _pieces(a, h, lo, 8.0)):
+                continue  # a kink within the differences
+            diff = ((moved[0] - moved[1]) / (2.0 * FD_STEP)).T
+            errors.append(_relative_error(jac[None], diff[None])[0])
+            cubic += int(np.any((_pieces(a, h, lo, 8.0) == 0) & (a > 0)))
+        assert len(errors) >= 100 and cubic >= 20
+        assert max(errors) <= 1e-7
 
 
 def _follower_spec(h, lo, hi, budget):

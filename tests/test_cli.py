@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from rsgame import cli
 from rsgame.cli import main
 
 
@@ -109,6 +110,29 @@ def test_montecarlo_svg(budget_config, tmp_path):
           "--format", "csv+svg", "montecarlo", "--scenario", "none"])
     svg = open(tmp_path / "mc" / "montecarlo_cdf.svg").read()
     assert svg.startswith("<svg")
+
+
+def test_montecarlo_scenario_sets_the_filter(budget_config, tmp_path,
+                                             monkeypatch):
+    # the config's own filter stands without the flag; "none" clears it
+    config = json.loads(open(budget_config).read())
+    config["scenario"] = {"filter": "s1"}
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(config))
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(cfg):
+        seen.append(cfg.scenario.filter)
+        raise Stop
+
+    monkeypatch.setattr(cli, "monte_carlo_cdf", record)
+    for flags in ([], ["--scenario", "s2"], ["--scenario", "none"]):
+        with pytest.raises(Stop):
+            main(["--config", str(path), "montecarlo", *flags])
+    assert seen == ["s1", "s2", None]
 
 
 def test_waterfill_demo(budget_config, capsys):

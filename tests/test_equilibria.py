@@ -15,8 +15,8 @@ from rsgame.harness import ExperimentConfig, ScenarioSpec, channels
 from conftest import (build_e1_spec, crushing_leader_spec, interior_instance,
                       random_priced_multi_follower, random_priced_two_player)
 from oracles import (PricedTwoPlayer1D, affine_nash_oracle, e1_oracle,
-                     grid_argmax_vec, separable_leader_grid_max,
-                     summation_impact)
+                     grid_argmax_vec, robust_waterfill_oracle,
+                     separable_leader_grid_max, summation_impact)
 
 
 class TestFollowerBestResponse:
@@ -140,9 +140,9 @@ class TestFollowerBestResponse:
                             cross=np.zeros((2, 2, 2)), noise=0.1, leaders=(),
                             action_min=0.1, action_max=[[3.0], [5.0]],
                             price=[0.5, 0.0])
-        a = equilibria._priced_reaction(spec, [0, 1], np.full((2, 2), 0.4))
+        a = equilibria._priced_reaction(spec, [0, 1])(np.full((2, 2), 0.4))
         assert np.array_equal(a, [[1.6, 0.1], [5.0, 5.0]])
-        a = equilibria._priced_reaction(spec, [1, 0], np.full((2, 2), 9.0))
+        a = equilibria._priced_reaction(spec, [1, 0])(np.full((2, 2), 9.0))
         assert np.array_equal(a, [[5.0, 5.0], [0.1, 0.1]])
 
 
@@ -217,13 +217,13 @@ class TestFollowersNash:
         assert res.diagnostics.residual == 0.0
 
     def test_iteration_limit_error_carries_iterate(self, monkeypatch):
-        monkeypatch.setattr(lockstep, "NASH_SWEEPS", 1)
+        monkeypatch.setattr(lockstep, "NASH_STEPS", 1)
         # affine reactions whose Newton solve shuts a follower off in its
-        # second step, and K = 2 robust reactions, which `jacobi` sweeps
+        # second step, and K = 2 robust reactions, which take three steps
         affine = random_priced_multi_follower(np.random.default_rng(10),
                                               n_followers=3)
-        swept = random_priced_multi_follower(np.random.default_rng(5), k=2)
-        for spec, eps in ((affine, 0.0), (swept, 0.04)):
+        robust_k2 = random_priced_multi_follower(np.random.default_rng(5), k=2)
+        for spec, eps in ((affine, 0.0), (robust_k2, 0.04)):
             start = np.zeros((spec.n_players, spec.n_dims))
             start[list(spec.leaders)] = 0.7
             with pytest.raises(IterationLimitError) as exc_info:
@@ -368,6 +368,121 @@ class TestAffineNash:
                                  price=[0.0, 0.5])
         with pytest.raises(DegenerateModelError):
             rs.followers_nash(unbounded, np.zeros((2, 1)))
+
+
+def draw_budgeted_followers(rng, n_followers, k):
+    """Budgeted followers behind one leader at a fixed allocation: couplings
+    0.3-0.9 sqrt(h_i h_j), ceilings 8, budgets 1-6; the followers start at
+    zero."""
+    n = n_followers + 1
+    h = rng.uniform(0.5, 2.0, size=(n, k))
+    cross = (rng.uniform(0.3, 0.9, size=(n, n, k))
+             * np.sqrt(h[:, None] * h[None, :]) * (1.0 - np.eye(n))[..., None])
+    spec = rs.make_spec(direct=h, cross=cross,
+                        noise=rng.uniform(0.05, 0.3, size=(n, k)),
+                        leaders=(0,), action_max=8.0,
+                        budget=rng.uniform(1.0, 6.0, size=n))
+    profile = np.zeros((n, k))
+    profile[0] = rng.dirichlet(np.ones(k)) * spec.utility_model.budget[0]
+    return spec, profile
+
+
+def strong_budgeted_followers_spec():
+    """Three budgeted followers, K = 4, couplings up to 0.9 sqrt(h_i h_j):
+    at eps = 0.05, against the leader's allocation `STRONG_LEADER`, 500
+    damped Jacobi sweeps did not converge."""
+    gains = np.array([  # (K, N, N)
+        [[0.654, 0.523, 0.18, 0.645], [0.66, 1.255, 0.287, 0.895],
+         [0.185, 0.241, 0.509, 0.415], [0.724, 0.533, 0.292, 1.019]],
+        [[1.929, 0.609, 1.329, 1.013], [0.732, 1.686, 0.71, 0.895],
+         [1.055, 0.569, 1.374, 0.894], [1.07, 0.855, 1.098, 1.658]],
+        [[1.82, 0.601, 0.382, 0.572], [0.826, 0.53, 0.419, 0.326],
+         [0.801, 0.393, 0.868, 0.713], [1.181, 0.473, 0.939, 1.481]],
+        [[1.834, 0.813, 0.589, 0.799], [0.525, 0.671, 0.365, 0.507],
+         [1.147, 0.341, 1.423, 0.795], [0.562, 0.56, 0.572, 1.369]]])
+    gains = gains.transpose(1, 2, 0)
+    return rs.make_spec(
+        direct=np.stack([gains[n, n] for n in range(4)]),
+        cross=gains * (1.0 - np.eye(4))[..., None],
+        noise=[[0.159, 0.094, 0.195, 0.191], [0.13, 0.087, 0.209, 0.088],
+               [0.108, 0.145, 0.101, 0.136], [0.084, 0.266, 0.249, 0.068]],
+        leaders=(0,), action_max=8.0, budget=[3.33, 2.08, 3.57, 5.67])
+
+
+STRONG_LEADER = np.array([0.738, 1.007, 0.851, 0.733])
+
+
+def assert_robust_waterfills(spec, actions, eps):
+    """Every follower of `actions` (N, K) plays the oracle's robust
+    waterfill against its own impact, within 1e-10."""
+    fol = list(spec.followers)
+    f = np.stack([rs.aggregate_impact(spec, actions, n).values for n in fol])
+    want, _ = robust_waterfill_oracle(
+        f, spec.cross_gain[fol, fol], spec.action_min[fol],
+        spec.action_max[fol], spec.utility_model.budget[fol], eps)
+    assert np.max(np.abs(actions[fol] - want)) <= 1e-10
+
+
+def damped_sweeps(spec, profile, eps):
+    """The followers' equilibrium by damped Jacobi sweeps: every follower
+    best responds to the others' last actions, and a sweep whose residual
+    grew halves the damping, down to 1/4."""
+    a, fol = profile.copy(), list(spec.followers)
+    damping, prev = 1.0, np.inf
+    for _ in range(500):
+        resp = np.stack([rs.follower_best_response(spec, n, a, eps)
+                         for n in fol])
+        res = np.max(np.abs(resp - a[fol]))
+        if res < lockstep.NASH_TOL:
+            a[fol] = resp
+            return a
+        if res > prev:
+            damping = max(0.25, 0.5 * damping)
+        prev = res
+        a[fol] = (1.0 - damping) * a[fol] + damping * resp
+    raise AssertionError("the damped sweeps did not converge")
+
+
+class TestNashSolve:
+    """The Newton solve of the followers' Nash on non-affine reactions."""
+
+    def test_budgeted_followers_play_their_robust_waterfills(self):
+        rng = np.random.default_rng(29)
+        steps = []
+        for i in range(24):
+            nf, k, eps = 2 + i % 2, 2 + i % 3, (0.0, 0.05)[(i // 2) % 2]
+            spec, profile = draw_budgeted_followers(rng, nf, k)
+            res = rs.followers_nash(spec, profile, eps=eps)
+            assert res.diagnostics.residual < lockstep.NASH_TOL
+            assert_robust_waterfills(spec, res.profile.actions, eps)
+            steps.append(res.diagnostics.iterations)
+            # the engine's solve reaches the same equilibrium
+            engine = lockstep.respond(lockstep.StackedGame.from_spec(spec, 0),
+                                      profile[None, 0], eps)[0]
+            assert np.max(np.abs(engine - res.profile.actions[1:])) <= 1e-10
+        assert np.median(steps) <= 8
+
+    def test_strong_coupling_draw_the_sweeps_could_not_solve(self):
+        spec = strong_budgeted_followers_spec()
+        profile = np.zeros((4, 4))
+        profile[0] = STRONG_LEADER
+        res = rs.followers_nash(spec, profile, eps=0.05)
+        assert_robust_waterfills(spec, res.profile.actions, 0.05)
+        assert res.diagnostics.iterations <= 8
+
+    def test_priced_robust_followers_match_the_damped_sweeps(self):
+        rng = np.random.default_rng(23)
+        steps = []
+        for i in range(16):
+            nf, k, eps = 2 + i % 2, 2 + (i // 2) % 2, (0.02, 0.04)[i // 8]
+            spec = random_priced_multi_follower(rng, n_followers=nf, k=k)
+            profile = np.zeros((nf + 1, k))
+            profile[0] = rng.uniform(0.0, 4.0, size=k)
+            res = rs.followers_nash(spec, profile, eps=eps)
+            want = damped_sweeps(spec, profile, eps)
+            assert np.max(np.abs(res.profile.actions - want)) <= 1e-10
+            steps.append(res.diagnostics.iterations)
+        assert np.median(steps) <= 5
 
 
 class TestSolveNse:
@@ -517,7 +632,7 @@ class TestBudgetedLeader:
             for n in spec.followers:
                 br = rs.follower_best_response(spec, n, a, eps)
                 assert np.max(np.abs(br - a[n])) <= 1e-9
-            # the engine's Jacobi sweep reaches the same equilibrium
+            # the engine's Newton solve reaches the same equilibrium
             engine = lockstep.respond(stacked, a[None, 0], eps)[0]
             assert np.array_equal(engine, a[1:])
 

@@ -16,7 +16,9 @@ from rsgame.budget import (robust_waterfill_batch, robust_waterfill_jacobian,
 from rsgame.harness import cooperative_leaders_nse
 
 from conftest import random_priced_multi_follower, random_priced_two_player
-from test_equilibria import demo05_spec, three_player_budgeted_spec
+from test_equilibria import (STRONG_LEADER, demo05_spec,
+                             strong_budgeted_followers_spec,
+                             three_player_budgeted_spec)
 from test_harness import kink_spec, two_leaders_one_follower_spec
 
 H = np.array([0.54, 0.226, 0.279, 0.222])
@@ -94,28 +96,36 @@ def _led(spec, a0):
 
 
 def _nash_cases():
-    """(spec, profile, eps) per followers' Nash timing."""
+    """(spec, profile, eps, Newton steps) per followers' Nash timing."""
     one = random_priced_two_player(np.random.default_rng(0))
     two = random_priced_multi_follower(np.random.default_rng(1))
+    two_k2 = random_priced_multi_follower(np.random.default_rng(1), k=2)
     three = three_player_budgeted_spec()
-    return {"priced-1f": (one, _led(one, 1.0), 0.0),
-            "priced-2f": (two, _led(two, 1.0), 0.0),
-            "priced-2f-robust": (two, _led(two, 1.0), 0.04),
-            "budgeted-2f": (three, _led(three, [1.0, 0.7, 0.9]), 0.0)}
+    strong = strong_budgeted_followers_spec()
+    return {"priced-1f": (one, _led(one, 1.0), 0.0, 1),
+            "priced-2f": (two, _led(two, 1.0), 0.0, 1),
+            "priced-2f-robust": (two, _led(two, 1.0), 0.04, 1),
+            "priced-2f-robust-k2": (two_k2, _led(two_k2, [1.0, 1.0]), 0.04,
+                                    3),
+            "budgeted-2f": (three, _led(three, [1.0, 0.7, 0.9]), 0.0, 1),
+            "budgeted-3f-strong": (strong, _led(strong, STRONG_LEADER), 0.05,
+                                   4)}
 
 
 @pytest.mark.bench
 @pytest.mark.parametrize("case", sorted(_nash_cases()))
 def test_followers_nash(benchmark, case):
-    # priced, K = 1: a lone follower (one response) and two coupled
-    # followers (the exact solve's Newton steps, nominal and robust); the
-    # budgeted three-player game of the equilibria tests (Jacobi sweeps, one
-    # robust waterfill per follower a sweep)
-    spec, profile, eps = _nash_cases()[case]
+    # a lone priced follower (one response); two priced followers at K = 1,
+    # nominal and robust (affine reactions), and robust at K = 2 (a robust
+    # best-response loop per follower and step); the budgeted three-player
+    # game of the equilibria tests, nominal (a piecewise affine reaction),
+    # and three strongly coupled budgeted followers at K = 4, eps = 0.05
+    spec, profile, eps, steps = _nash_cases()[case]
     res = benchmark(rs.followers_nash, spec, profile, eps)
     assert res.diagnostics.residual < 1e-12
-    # from the followers' floors: one response, or one Newton step
-    assert (res.diagnostics.iterations == 1) == spec.is_priced
+    # from the followers' floors: one response, one Newton step where the
+    # reactions are affine on their pieces, a few where they are not
+    assert res.diagnostics.iterations == steps
 
 
 @pytest.mark.bench

@@ -16,9 +16,9 @@ from .equilibria import (Diagnostics, EquilibriumResult, UniquenessCertificate,
                          realized_utilities, rse1_closed_form, solve_nse,
                          solve_rse1, solve_rse2, uniqueness_certificate)
 from .game import (ActionProfile, BudgetedThroughput, DerivativeBundle,
-                   GameSpec, ImpactVector, PricedThroughput, aggregate_impact,
-                   all_impacts, derivatives, make_spec, negative_impact,
-                   utility, utility_per_dim)
+                   GameSpec, PricedThroughput, aggregate_impact, all_impacts,
+                   derivatives, make_spec, negative_impact, utility,
+                   utility_per_dim)
 from .robust import (UncertaintySpec, WorstCaseObservation,
                      complementary_slackness_residual, direction_vector,
                      worst_case_cross_gain, worst_case_observation)

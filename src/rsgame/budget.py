@@ -50,7 +50,7 @@ def waterfill(spec, player, impact, budget):
     """
     if budget <= 0:
         raise InvalidSpecError("budget must be positive")
-    f = game.as_impact(impact)
+    f = np.asarray(impact, dtype=float)
     game._check_impact(f)
     q = inverse_quality(spec.direct_gain(player), f)
     return waterfill_batch(q[None, :], spec.action_min[player],
@@ -148,12 +148,6 @@ def project_box_budget_batch(z, lo, hi, budget):
     return clipped
 
 
-def project_box_budget(z, lo, hi, budget):
-    """Projection of one action vector: a one-row `project_box_budget_batch`."""
-    z = np.asarray(z, dtype=float)
-    return project_box_budget_batch(z[None, :], lo, hi, budget)[0]
-
-
 def robust_waterfill(spec, player, nominal_impact, eps, budget):
     """Max-min robust waterfill of one player: one row of `robust_waterfill_batch`.
 
@@ -166,7 +160,7 @@ def robust_waterfill(spec, player, nominal_impact, eps, budget):
         raise InvalidSpecError("eps must be nonnegative")
     if budget <= 0:
         raise InvalidSpecError("budget must be positive")
-    f = game.as_impact(nominal_impact)
+    f = np.asarray(nominal_impact, dtype=float)
     game._check_impact(f)
     alloc, _ = robust_waterfill_batch(
         f[None, :], spec.direct_gain(player)[None, :], spec.action_min[player],

@@ -110,6 +110,14 @@ def _cmd_sweep(config, args):
     if updates:
         config = dataclasses.replace(config, **updates)
     summary = run_experiment(config)
+    print(f"instances solved: {len(summary.records)}  "
+          f"excluded: {summary.excluded}")
+    for name, (ok, total) in summary.orderings.items():
+        if total:
+            print(f"  ordering {name}: {ok}/{total}")
+    for name, (ok, total) in summary.agreement.items():
+        if total:
+            print(f"  condition/prediction agreement {name}: {ok}/{total}")
     print(f"wrote {summary.csv_path}")
     for path in summary.svg_paths:
         print(f"wrote {path}")
@@ -168,7 +176,7 @@ def _cmd_waterfill_demo(config, args):
         print("waterfill-demo needs a budgeted config", file=sys.stderr)
         raise SystemExit(2)
     player = spec.followers[0]
-    f = game.aggregate_impact(spec, spec.action_min, player).values
+    f = game.aggregate_impact(spec, spec.action_min, player)
     budget = spec.budget(player)
     nominal = budget_mod.waterfill(spec, player, f, budget)
     robust = budget_mod.robust_waterfill(spec, player, f, args.eps, budget)

@@ -175,7 +175,7 @@ def follower_best_response(spec, player, others, eps):
         raise InvalidSpecError(f"player {player} is not a follower")
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
-    f_nom = game.aggregate_impact(spec, others, player).values
+    f_nom = game.aggregate_impact(spec, others, player)
     return _response(spec, player, f_nom, eps)[0]
 
 
@@ -243,8 +243,7 @@ def _followers_fixed_point(spec, leaders_profile, unc):
         return actions, 0, 0.0
     if len(fol) == 1:  # its own action does not move its impact
         n = fol[0]
-        actions[n] = _response(spec, n, game.aggregate_impact(
-            spec, actions, n).values, unc.obs_radius[n])[0]
+        actions[n] = follower_best_response(spec, n, actions, unc.obs_radius[n])
         return actions, 1, 0.0
     eps = unc.obs_radius[fol]
     gains, lead = spec.cross_gain[fol], list(spec.leaders)
@@ -339,7 +338,7 @@ def _bilevel_priced(model_spec, unc, leaders, start=None):
         cache["profile"] = prof.copy()
         cache["solves"] += 1
         total = sum(game.utility(model_spec, n, a_l[i],
-                                 game.aggregate_impact(model_spec, prof, n).values)
+                                 game.aggregate_impact(model_spec, prof, n))
                     for i, n in enumerate(leaders))
         return total, prof[followers]
 
@@ -465,7 +464,7 @@ def _solve_bilevel(spec, unc, kind, believed_spec=None, restarts=20, seed=0,
         # what the leader planned on: the followers' response under the
         # believed gains
         planned, _ = _realize(model_spec, unc, [leader], a0)
-        f0_model = game.aggregate_impact(model_spec, planned, leader).values
+        f0_model = game.aggregate_impact(model_spec, planned, leader)
         notes["believed_leader_utility"] = game.utility(model_spec, leader, a0, f0_model)
     return _make_result(kind, spec, actions, iterations=iters,
                         residual=nash.diagnostics.residual, notes=notes)

@@ -196,22 +196,6 @@ def as_actions(profile):
 
 
 @dataclass(frozen=True)
-class ImpactVector:
-    """Aggregate impact f_n over the K dimensions (always >= noise floor)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-
-def as_impact(impact):
-    if isinstance(impact, ImpactVector):
-        return impact.values
-    return np.asarray(impact, dtype=float)
-
-
-@dataclass(frozen=True)
 class DerivativeBundle:
     """First and second derivatives of one player's utility, per dimension.
 
@@ -234,14 +218,16 @@ def _check_impact(f):
 
 
 def aggregate_impact(spec, profile, player):
-    """f[player, k] = sum over other players m of a[m, k] * x[player, m, k] + noise."""
+    """f[player, k] = sum over other players m of a[m, k] * x[player, m, k] + noise.
+
+    Returns the (K,) array, at or above the player's noise floor.
+    """
     a = as_actions(profile)
     if not 0 <= player < spec.n_players:
         raise IndexError(f"player index {player} out of range")
     gains = spec.cross_gain[player].copy()  # (N, K)
     gains[player, :] = 0.0                  # own action never self-interferes
-    values = np.einsum("mk,mk->k", a, gains) + spec.noise[player]
-    return ImpactVector(values=values)
+    return np.einsum("mk,mk->k", a, gains) + spec.noise[player]
 
 
 def all_impacts(spec, profile):
@@ -256,7 +242,7 @@ def all_impacts(spec, profile):
 def utility_per_dim(spec, player, own_action, impact):
     """Per-dimension utility terms; their sum is the player's utility."""
     a = np.asarray(own_action, dtype=float)
-    f = as_impact(impact)
+    f = np.asarray(impact, dtype=float)
     _check_impact(f)
     h = spec.direct_gain(player)
     return np.log1p(h * a / f) - spec.price(player) * a
@@ -270,7 +256,7 @@ def utility(spec, player, own_action, impact):
 def derivatives(spec, player, own_action, impact):
     """Analytic derivative bundle of `utility` at (own_action, impact)."""
     a = np.asarray(own_action, dtype=float)
-    f = as_impact(impact)
+    f = np.asarray(impact, dtype=float)
     _check_impact(f)
     h = spec.direct_gain(player)
     c = spec.price(player)

@@ -10,6 +10,8 @@ from ..errors import ConfigError, InfeasibleScenarioError
 
 _MAX_REJECTION_DRAWS = 10**6
 _N_RAYS = 4
+# interference-ratio thresholds of the scenario filters
+_HIGH, _LOW, _S1_HIGH = 0.9, 0.1, 0.8
 
 
 def _link_rng_draw_rayleigh(rng, k):
@@ -37,11 +39,11 @@ def _scenario_accept(scenario, h00, h01, h10, h11):
     r_lf = h10 / h11  # leader-to-follower interference ratio
     r_fl = h01 / h00  # follower-to-leader interference ratio
     if scenario.filter == "s1":
-        return r_lf > scenario.s1_high and r_fl < scenario.low
+        return r_lf > _S1_HIGH and r_fl < _LOW
     if scenario.filter == "s2":
-        return r_lf > scenario.high and r_fl > scenario.high
+        return r_lf > _HIGH and r_fl > _HIGH
     if scenario.filter == "s3":
-        return r_lf < scenario.low and r_fl > scenario.high
+        return r_lf < _LOW and r_fl > _HIGH
     return True
 
 
@@ -94,7 +96,4 @@ def generate_channels(config, instance_index):
             gains[leader, fol, dim] = h01
             gains[fol, leader, dim] = h10
             gains[fol, fol, dim] = h11
-    if config.cross_scale != 1.0:
-        off = ~np.eye(n, dtype=bool)
-        gains[off] *= config.cross_scale
     return gains

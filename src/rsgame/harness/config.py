@@ -13,23 +13,16 @@ from ..errors import ConfigError
 class ScenarioSpec:
     """Interference-ratio rejection filter for two-player ensembles.
 
-    s1: leader-to-follower ratio above `s1_high`, follower-to-leader below
-    `low`; s2: both above `high`; s3: leader-to-follower below `low`,
-    follower-to-leader above `high`.
+    s1: leader-to-follower ratio above 0.8, follower-to-leader below 0.1;
+    s2: both above 0.9; s3: leader-to-follower below 0.1,
+    follower-to-leader above 0.9 (`channels.generate_channels`).
     """
 
     filter: str = None  # "s1" | "s2" | "s3" | None
-    high: float = 0.9
-    low: float = 0.1
-    s1_high: float = 0.8
 
     def __post_init__(self):
         if self.filter is not None and self.filter not in ("s1", "s2", "s3"):
             raise ConfigError(f"unknown scenario filter {self.filter!r}")
-        for name in ("high", "low", "s1_high"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"scenario threshold {name} must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,6 @@ class ExperimentConfig:
     action_max: object = 10.0
     noise: object = 0.01
     channel_model: str = "rayleigh"  # "rayleigh" | "four_ray"
-    cross_scale: float = 1.0
     fixed_gains: object = None       # explicit (N, N, K) gains, overrides draws
     rng_seed: int = 0
     ensemble_size: int = 1

@@ -138,12 +138,13 @@ def solve_instance(config, spec, instance):
                           grades=grades, overlap=overlap)
 
 
-def run_experiment(config, quiet=False):
-    """Execute the configured sweep, write CSV (+SVG), print a summary table.
+def run_experiment(config):
+    """Execute the configured sweep and write CSV (+SVG); print nothing.
 
-    Per-instance solver errors (`errors.SOLVER_ERRORS`) are logged and
-    excluded; more than 5% exclusions fails the run.  Any other exception
-    propagates.
+    Per-instance solver errors (`errors.SOLVER_ERRORS`) exclude their
+    instance and are counted in `excluded`; more than 5% exclusions fails
+    the run.  Any other exception propagates.  `rsgame sweep` prints the
+    summary's counts.
     """
     if len(config.leaders) != 1:
         raise ConfigError(
@@ -187,8 +188,6 @@ def run_experiment(config, quiet=False):
     svg_paths = ()
     if followers and config.format == "csv+svg":
         svg_paths = _write_svgs(config, records, leader, followers[0])
-    if not quiet:
-        _print_summary(config, records, failures, orderings, agreement)
     return ExperimentSummary(records=tuple(records), csv_path=csv_path,
                              svg_paths=svg_paths, excluded=len(failures),
                              orderings=orderings, agreement=agreement)
@@ -256,16 +255,6 @@ def _write_svgs(config, records, leader, fol):
             title="empirical cdf of follower d (case 1)", xlabel="d1"))
         paths.append(path)
     return tuple(paths)
-
-
-def _print_summary(config, records, failures, orderings, agreement):
-    print(f"instances solved: {len(records)}  excluded: {len(failures)}")
-    for name, (ok, total) in orderings.items():
-        if total:
-            print(f"  ordering {name}: {ok}/{total}")
-    for name, (ok, total) in agreement.items():
-        if total:
-            print(f"  condition/prediction agreement {name}: {ok}/{total}")
 
 
 def load_rows(csv_path):

@@ -57,27 +57,26 @@ class TwoPlayerBatch:
 
 
 def batch_from_config(config, n_instances):
+    """The first `n_instances` of the ensemble as a `TwoPlayerBatch`, and
+    their (B, 2, 2, K) gains; noise, boxes and budgets are the game's
+    (`config.to_spec`), which every instance shares."""
     if config.n_players != 2:
         raise ConfigError("the vectorized Monte Carlo path is two-player")
     if config.utility.get("kind") != "budgeted":
         raise ConfigError("the cdf study runs on the budgeted model")
-    leader = config.leaders[0]
-    fol = 1 - leader
     gains = np.stack([channels.generate_channels(config, i)
                       for i in range(n_instances)])
-    k = config.n_dims
-    noise = np.broadcast_to(np.asarray(config.noise, dtype=float), (2, k))
-    lo = np.broadcast_to(np.asarray(config.action_min, dtype=float), (2, k))
-    hi = np.broadcast_to(np.asarray(config.action_max, dtype=float), (2, k))
-    budget = np.broadcast_to(np.asarray(config.utility["budget"], dtype=float), (2,))
+    spec = config.to_spec(gains[0])
+    leader, fol = spec.leaders[0], spec.followers[0]
+    shape = (n_instances, spec.n_dims)
     return TwoPlayerBatch(
         h00=gains[:, leader, leader, :], h01=gains[:, leader, fol, :],
         h10=gains[:, fol, leader, :], h11=gains[:, fol, fol, :],
-        sigma0=np.broadcast_to(noise[leader], (n_instances, k)).copy(),
-        sigma1=np.broadcast_to(noise[fol], (n_instances, k)).copy(),
-        lo0=lo[leader].copy(), hi0=hi[leader].copy(),
-        lo1=lo[fol].copy(), hi1=hi[fol].copy(),
-        p0=float(budget[leader]), p1=float(budget[fol]),
+        sigma0=np.broadcast_to(spec.noise[leader], shape).copy(),
+        sigma1=np.broadcast_to(spec.noise[fol], shape).copy(),
+        lo0=spec.action_min[leader].copy(), hi0=spec.action_max[leader].copy(),
+        lo1=spec.action_min[fol].copy(), hi1=spec.action_max[fol].copy(),
+        p0=spec.budget(leader), p1=spec.budget(fol),
     ), gains
 
 
@@ -130,12 +129,13 @@ def empirical_cdf(values):
     return v, frac
 
 
-def monte_carlo_cdf(config, eps=None):
+def monte_carlo_cdf(config):
     """Empirical CDF of the follower's relative utility change under case 1.
 
-    Solves the budgeted nominal and case-1 robust games for every ensemble
-    instance in lockstep, forms d1 = (w1_rse1 - w1_nse) / w1_nse, and
-    returns the sorted CDF plus the fraction of instances with d1 > 0.
+    Solves the budgeted nominal and case-1 robust games, at the largest
+    radius of `config.eps_grid`, for every ensemble instance in lockstep,
+    forms d1 = (w1_rse1 - w1_nse) / w1_nse, and returns the sorted CDF plus
+    the fraction of instances with d1 > 0.
     Instances whose nominal follower utility is numerically zero are
     excluded and counted; more than 5% exclusions fails the run.
 
@@ -153,7 +153,7 @@ def monte_carlo_cdf(config, eps=None):
     more, `lockstep.leader_starts` draws the Dirichlet starts per chunk
     call, so the results depend on the chunk size.
     """
-    eps = float(max(e for e in config.eps_grid) if eps is None else eps)
+    eps = max(config.eps_grid)
     batch, _ = batch_from_config(config, config.ensemble_size)
     game = batch.stacked
     d1_parts = []

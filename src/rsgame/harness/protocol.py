@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import analysis, equilibria, robust
 from ..errors import InvalidSpecError
-from ..budget import project_box_budget
+from ..budget import project_box_budget_batch
 
 
 def demote_to_single_leader(spec, leader):
@@ -34,9 +34,9 @@ def full_power_profile(spec):
     actions = np.array(spec.action_max, dtype=float)
     if spec.is_budgeted:
         for n in range(spec.n_players):
-            actions[n] = project_box_budget(
-                np.full(spec.n_dims, spec.budget(n) / spec.n_dims),
-                spec.action_min[n], spec.action_max[n], spec.budget(n))
+            actions[n] = project_box_budget_batch(
+                np.full((1, spec.n_dims), spec.budget(n) / spec.n_dims),
+                spec.action_min[n], spec.action_max[n], spec.budget(n))[0]
     if not np.all(np.isfinite(actions)):
         raise InvalidSpecError("full-power profile needs finite action boxes")
     return actions

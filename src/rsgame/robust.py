@@ -112,8 +112,7 @@ def direction_vector(bundle):
     return g / norm
 
 
-def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
-                           one_step=False):
+def worst_case_observation(spec, player, own_action, nominal_impact, eps):
     """Worst observation in the eps-ball around the nominal impact.
 
     A trust-region subproblem, solved exactly through its KKT conditions.
@@ -133,9 +132,9 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
     max|eps * r(t) / |r(t)| - s| at t = f + s is below `_TOL` (raised to
     32 roundings of max(f) + eps where it asks for less, which no iterate
     resolves), and the returned values are f + eps * r(t) / |r(t)|.
-    Raises `IterationLimitError` after `_MAX_ITER` iterates.  `one_step=True`
-    instead evaluates the direction at the nominal point only (the two
-    differ by O(eps^2)).
+    Raises `IterationLimitError` after `_MAX_ITER` iterates.  The one-step
+    point itself, f - eps * direction_vector(derivatives at f), differs from
+    the answer by O(eps^2).
 
     Because the utility decreases in the impact, the worst case inflates it:
     values >= nominal elementwise, and the ball constraint is active whenever
@@ -144,7 +143,7 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
     if eps < 0:
         raise InvalidSpecError("eps must be nonnegative")
     a = np.asarray(own_action, dtype=float)
-    f = game.as_impact(nominal_impact)
+    f = np.asarray(nominal_impact, dtype=float)
     game._check_impact(f)
     u = spec.direct_gain(player) * a
 
@@ -160,10 +159,6 @@ def worst_case_observation(spec, player, own_action, nominal_impact, eps, *,
     theta, target, _ = fixed_point(f)
     if eps == 0.0:
         return WorstCaseObservation(values=f.copy(), direction=theta)
-    if one_step:
-        return WorstCaseObservation(values=target, direction=theta,
-                                    iterations=1,
-                                    residual=float(abs(target - f).max()))
 
     tol = max(_TOL, _ROUNDING * (float(f.max()) + eps))
     s = target - f
@@ -233,7 +228,7 @@ def complementary_slackness_residual(spec, player, own_action, nominal_impact,
     multiplier lam = |grad| / (2 eps); returns the larger of the slackness
     term lam * (eps^2 - |f* - f|^2) and the stationarity defect.
     """
-    f = game.as_impact(nominal_impact)
+    f = np.asarray(nominal_impact, dtype=float)
     g = game.derivatives(spec, player, np.asarray(own_action, dtype=float),
                          wco.values).grad_f
     shift = wco.values - f

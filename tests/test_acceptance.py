@@ -341,10 +341,8 @@ class TestCriterion11SweepDeterminism:
             fixed_gains=gains, rng_seed=7, ensemble_size=3,
             eps_grid=(0.0, 0.02, 0.05), delta_grid=(0.0, 0.02),
         )
-        s1 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "a"),
-                                             **base), quiet=True)
-        s2 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "b"),
-                                             **base), quiet=True)
+        s1 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "a"), **base))
+        s2 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "b"), **base))
         body1 = open(s1.csv_path, "rb").read().split(b"\n", 1)[1]
         body2 = open(s2.csv_path, "rb").read().split(b"\n", 1)[1]
         assert body1 == body2

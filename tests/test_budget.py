@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rsgame as rs
 from rsgame import budget as budget_mod
 from rsgame import equilibria
-from rsgame.budget import (project_box_budget, robust_waterfill_batch,
+from rsgame.budget import (project_box_budget_batch, robust_waterfill_batch,
                            robust_waterfill_jacobian, waterfill_batch)
 from rsgame.errors import InvalidSpecError, IterationLimitError
 from rsgame.harness.montecarlo import TwoPlayerBatch, follower_response_batch
@@ -225,10 +225,11 @@ class TestProjectionProperties:
         _, lo, hi, budget = box
         k = lo.size
         z, t = np.array(z[:k]), np.array(t[:k])
-        p = project_box_budget(z, lo, hi, budget)
+        p = project_box_budget_batch(z[None], lo, hi, budget)[0]
         assert np.all(p >= lo) and np.all(p <= hi)
         assert p.sum() <= budget + 1e-9
-        assert project_box_budget(p, lo, hi, budget) == pytest.approx(p, abs=1e-12)
+        assert (project_box_budget_batch(p[None], lo, hi, budget)[0]
+                == pytest.approx(p, abs=1e-12))
         # a feasible y: a point of the box (infinite ceilings cut at lo + 5),
         # pulled toward the floor until it meets the budget
         y = lo + t * (np.minimum(hi, lo + 5.0) - lo)
@@ -250,7 +251,7 @@ class TestRobustWaterfill:
                                noise=[[0.1], [0.2]], leaders=(0,),
                                action_max=2.0, budget=[1.5, 1.5])
         others = np.array([[0.7, 0.5, 0.3], [0.0, 0.0, 0.0]])
-        f1 = rs.aggregate_impact(coupled, others, 1).values
+        f1 = rs.aggregate_impact(coupled, others, 1)
         assert np.array_equal(rs.follower_best_response(coupled, 1, others, 0.0),
                               rs.waterfill(coupled, 1, f1, 1.5))
 

@@ -135,6 +135,27 @@ def test_montecarlo_scenario_sets_the_filter(budget_config, tmp_path,
     assert seen == ["s1", "s2", None]
 
 
+def test_seed_flag_overrides_the_config(budget_config, monkeypatch):
+    # the config's own seed stands without the flag, on either side of the
+    # subcommand the flag wins
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(cfg):
+        seen.append(cfg.rng_seed)
+        raise Stop
+
+    monkeypatch.setattr(cli, "monte_carlo_cdf", record)
+    for argv in (["--config", budget_config, "montecarlo"],
+                 ["--config", budget_config, "--seed", "9", "montecarlo"],
+                 ["--config", budget_config, "montecarlo", "--seed", "7"]):
+        with pytest.raises(Stop):
+            main(argv)
+    assert seen == [4, 9, 7]
+
+
 def test_waterfill_demo(budget_config, capsys):
     assert main(["--config", budget_config, "waterfill-demo",
                  "--eps", "0.2"]) == 0

@@ -416,7 +416,7 @@ def assert_robust_waterfills(spec, actions, eps):
     """Every follower of `actions` (N, K) plays the oracle's robust
     waterfill against its own impact, within 1e-10."""
     fol = list(spec.followers)
-    f = np.stack([rs.aggregate_impact(spec, actions, n).values for n in fol])
+    f = np.stack([rs.aggregate_impact(spec, actions, n) for n in fol])
     want, _ = robust_waterfill_oracle(
         f, spec.cross_gain[fol, fol], spec.action_min[fol],
         spec.action_max[fol], spec.utility_model.budget[fol], eps)

@@ -21,14 +21,14 @@ class TestAggregateImpact:
     def test_two_player_direct_evaluation(self):
         spec = two_player_spec()
         profile = np.array([[1.0], [0.3]])
-        f1 = rs.aggregate_impact(spec, profile, 1).values
+        f1 = rs.aggregate_impact(spec, profile, 1)
         oracle = summation_impact(profile, spec.cross_gain[1], spec.noise[1], 1)
         assert f1 == pytest.approx([0.6])
         assert f1 == pytest.approx(oracle)
 
     def test_silent_others_leave_noise_floor(self):
         spec = two_player_spec()
-        f1 = rs.aggregate_impact(spec, np.zeros((2, 1)), 1).values
+        f1 = rs.aggregate_impact(spec, np.zeros((2, 1)), 1)
         assert f1 == pytest.approx(spec.noise[1])
 
     def test_three_player_two_dims(self):
@@ -37,7 +37,7 @@ class TestAggregateImpact:
         spec = rs.make_spec(direct=np.ones((3, 2)), cross=cross, noise=0.1,
                             leaders=(0,), action_max=5.0, price=[0.5] * 3)
         profile = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        f0 = rs.aggregate_impact(spec, profile, 0).values
+        f0 = rs.aggregate_impact(spec, profile, 0)
         oracle = summation_impact(profile, spec.cross_gain[0], spec.noise[0], 0)
         assert f0 == pytest.approx([1.1, 2.1])
         assert f0 == pytest.approx(oracle)

@@ -15,8 +15,8 @@ from rsgame.harness import (ExperimentConfig, ScenarioSpec, batch_from_config,
                             channels, cooperative_leaders_nse,
                             demote_to_single_leader, generate_channels,
                             heuristic_leader_selection, load_rows,
-                            monte_carlo_cdf, montecarlo, run_experiment,
-                            solve_instance)
+                            experiment, monte_carlo_cdf, montecarlo,
+                            run_experiment, solve_instance)
 from rsgame.harness.montecarlo import leader_ascent_batch, follower_response_batch
 
 from conftest import random_priced_multi_follower
@@ -120,9 +120,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(eps_grid=(0.05, 0.1))
 
-    def test_threshold_range_enforced(self):
+    @pytest.mark.parametrize("data", [
+        {"cross_scale": 1.0},
+        {"scenario": {"filter": "s2", "high": 0.9}},
+    ], ids=["cross-scale", "scenario-threshold"])
+    def test_removed_keys_rejected(self, data):
         with pytest.raises(ConfigError):
-            ScenarioSpec(filter="s1", high=1.5)
+            ExperimentConfig.from_dict(data)
+
+    def test_readme_schema_example_parses(self):
+        # the README's config block is the documented schema
+        text = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "README.md"), encoding="utf-8").read()
+        block = text.split("### Config schema", 1)[1]
+        block = block.split("```json", 1)[1].split("```", 1)[0]
+        config = ExperimentConfig.from_dict(json.loads(block))
+        assert config.scenario == ScenarioSpec(filter="s2")
+        assert config.utility["kind"] == "budgeted"
 
     @pytest.mark.parametrize("fields, rejected", [
         ({"scenario": None}, False),  # no filter, as when the key is absent
@@ -151,7 +165,7 @@ class TestRunExperiment:
     def test_minimal_run_contains_only_nse(self, tmp_path):
         config = small_config(ensemble_size=1, eps_grid=(0.0,),
                               delta_grid=(0.0,), out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         rows = load_rows(summary.csv_path)
         assert [r["kind"] for r in rows] == ["NSE"]
 
@@ -159,16 +173,16 @@ class TestRunExperiment:
         config = small_config(n_players=1, utility={"kind": "priced",
                                                     "price": [0.8]},
                               out_dir=str(tmp_path), format="csv+svg")
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         assert summary.excluded == 0 and len(summary.records) == 2
         rows = load_rows(summary.csv_path)
         assert sorted({r["kind"] for r in rows}) == ["NSE", "RSE1", "RSE2"]
 
     def test_rerun_identical_apart_from_timestamp(self, tmp_path):
         config = small_config(out_dir=str(tmp_path / "a"))
-        s1 = run_experiment(config, quiet=True)
+        s1 = run_experiment(config)
         config2 = dataclasses.replace(config, out_dir=str(tmp_path / "b"))
-        s2 = run_experiment(config2, quiet=True)
+        s2 = run_experiment(config2)
         body1 = open(s1.csv_path).readlines()[1:]
         body2 = open(s2.csv_path).readlines()[1:]
         assert body1 == body2
@@ -180,19 +194,48 @@ class TestRunExperiment:
             action_max=[[1.0], [2.0]],
             eps_grid=(0.0, 0.1), delta_grid=(0.0, 0.1),
             out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         rows = {r["kind"]: r for r in load_rows(summary.csv_path)}
         assert float(rows["NSE"]["a0_0"]) == pytest.approx(0.4835, abs=1e-3)
         assert float(rows["NSE"]["w0"]) == pytest.approx(0.0322, abs=1e-3)
         assert float(rows["RSE1"]["w1"]) == pytest.approx(0.7448, abs=1e-3)
         assert float(rows["RSE2"]["w1"]) == pytest.approx(1.0944, abs=1e-3)
 
+    def test_budgeted_sweep_counts_active_channels(self, tmp_path):
+        # demo_05's s2 ensemble through the per-instance pipeline
+        config = ExperimentConfig(
+            n_players=2, n_dims=4, leaders=(0,),
+            utility={"kind": "budgeted", "budget": [10.0, 10.0]},
+            action_max=10.0, noise=0.01, channel_model="four_ray",
+            rng_seed=1, ensemble_size=3, eps_grid=(0.0, 0.05),
+            delta_grid=(0.0, 0.05), scenario=ScenarioSpec(filter="s2"),
+            restarts=3, out_dir=str(tmp_path / "a"))
+        summary = run_experiment(config)
+        assert summary.excluded == 0
+        threshold = rs.activity_threshold(10.0, 4)
+        spec = config.to_spec(summary.records[0].gains)
+        assert experiment._activity_threshold(spec) == threshold
+        rows = load_rows(summary.csv_path)
+        assert len(rows) == 3 * 3
+        for row in rows:
+            a = np.array([[float(row[f"a{p}_{d}"]) for d in range(4)]
+                          for p in range(2)])
+            stats = rs.overlap_stats(a, threshold)
+            assert [int(row["used0"]), int(row["used1"])] == [
+                stats.sizes[0], stats.sizes[1]]
+            assert int(row["common01"]) == stats.common_sizes[(0, 1)]
+        rerun = run_experiment(dataclasses.replace(
+            config, out_dir=str(tmp_path / "b")))
+        body1 = open(summary.csv_path, "rb").read().split(b"\n", 1)[1]
+        body2 = open(rerun.csv_path, "rb").read().split(b"\n", 1)[1]
+        assert body1 == body2
+
     def test_svg_outputs(self, tmp_path):
         gains = [[[1.0], [0.5]], [[0.5], [1.0]]]
         config = small_config(format="csv+svg", out_dir=str(tmp_path),
                               fixed_gains=gains, ensemble_size=1,
                               action_max=[[1.0], [2.0]])
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         assert summary.svg_paths
         for path in summary.svg_paths:
             text = open(path).read()
@@ -225,7 +268,7 @@ class TestRunExperiment:
             return solve_nse(spec, **kwargs)
 
         monkeypatch.setattr(rs.equilibria, "solve_nse", first_fails)
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         assert summary.excluded == 1 and len(summary.records) == 19
 
         def broken(spec, **kwargs):
@@ -233,7 +276,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(rs.equilibria, "solve_nse", broken)
         with pytest.raises(TypeError, match="planted"):
-            run_experiment(config, quiet=True)
+            run_experiment(config)
 
     def test_orderings_graded_for_the_configured_leader(self, tmp_path):
         # the worked instance with the players' roles swapped: player 1 leads
@@ -242,7 +285,7 @@ class TestRunExperiment:
             fixed_gains=[[[1.0], [0.5]], [[0.5], [1.0]]], ensemble_size=1,
             action_max=[[2.0], [1.0]], eps_grid=(0.0, 0.05, 0.1),
             delta_grid=(0.0, 0.05, 0.1), out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         want = {name: [0, 0] for name in summary.orderings}
         for rec in summary.records:
             base = rec.results[("NSE", 0.0)].utilities
@@ -275,7 +318,7 @@ class TestRunExperiment:
                          [[0.3899625863678114], [0.8779172101190559]]],
             ensemble_size=1, eps_grid=(0.0, 0.02), delta_grid=(0.0, 0.02),
             out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         rows = {r["kind"]: r for r in load_rows(summary.csv_path)}
         assert float(rows["NSE"]["w1"]) == 0.0
         assert rows["RSE1"]["d0"] != "" and rows["RSE1"]["d_social"] != ""
@@ -290,7 +333,7 @@ class TestRunExperiment:
                                   delta_grid=(0.0, 0.02, 0.05), rng_seed=0,
                                   ensemble_size=10, format="csv+svg",
                                   out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         names = [os.path.basename(p) for p in summary.svg_paths]
         assert "case1_d_vs_eps.svg" in names
         for path in summary.svg_paths:
@@ -298,7 +341,7 @@ class TestRunExperiment:
 
     def test_schema_version_checked(self, tmp_path):
         config = small_config(ensemble_size=1, out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         lines = open(summary.csv_path).readlines()
         lines[1] = "# schema: rsgame-sweep v99\n"
         bad = tmp_path / "bad.csv"
@@ -308,7 +351,7 @@ class TestRunExperiment:
 
     def test_tampered_d_metric_detected(self, tmp_path):
         config = small_config(ensemble_size=1, out_dir=str(tmp_path))
-        summary = run_experiment(config, quiet=True)
+        summary = run_experiment(config)
         lines = open(summary.csv_path).read().splitlines()
         header = lines[2].split(",")
         d0 = header.index("d0")
@@ -339,7 +382,7 @@ def mc_config(scenario=None, **over):
 
 class TestMonteCarlo:
     def test_zero_radius_is_a_point_mass(self):
-        cdf = monte_carlo_cdf(mc_config(), eps=0.0)
+        cdf = monte_carlo_cdf(mc_config(eps_grid=(0.0,)))
         assert cdf.positive_fraction == 0.0
         assert np.max(np.abs(cdf.values)) == 0.0
         assert cdf.fractions[-1] == 1.0

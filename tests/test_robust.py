@@ -95,17 +95,18 @@ class TestWorstCaseObservation:
         assert wco.values == pytest.approx([0.6])
         assert wco.direction == pytest.approx([0.0])
 
-    def test_one_step_differs_at_second_order(self):
+    def test_first_order_point_differs_at_second_order(self):
         spec = rs.make_spec(direct=[[1.0, 1.5]], cross=np.zeros((1, 1, 2)),
                             noise=0.05, leaders=(), action_max=10.0,
                             price=[0.5])
         a = np.array([1.0, 0.4])
         f = np.array([0.6, 0.9])
+        # the direction taken at the nominal point
+        theta = rs.direction_vector(rs.derivatives(spec, 0, a, f))
         gaps = []
         for eps in (0.2, 0.1):
             fixed = rs.worst_case_observation(spec, 0, a, f, eps)
-            one = rs.worst_case_observation(spec, 0, a, f, eps, one_step=True)
-            gaps.append(np.max(np.abs(fixed.values - one.values)))
+            gaps.append(np.max(np.abs(fixed.values - (f - eps * theta))))
         assert gaps[0] > 0
         assert gaps[0] / gaps[1] > 3.0  # halving eps divides the gap by ~4
 
